@@ -44,13 +44,11 @@ from .graphs import (
     parse_edge_list,
     path,
     petersen,
-    product_distance,
     read_edge_list,
     write_edge_list,
 )
 from .knt import (
     BlockClaimReport,
-    CyclicShift,
     FirstRowMatrix,
     agreement_count,
     block_entries,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -19,22 +18,12 @@ TABLE = "table"
 JSON = "json"
 
 
-def _size_cap() -> int:
-    env = os.environ.get(graphs.SIZE_CAP_ENV)
-    return int(env) if env else graphs.DEFAULT_SIZE_CAP
-
-
 def _read_graph(path: str) -> graphs.Graph:
-    if path == "-":
-        return graphs.parse_edge_list(sys.stdin.read())
-    return graphs.read_edge_list(path)
+    return graphs.read_edge_list(sys.stdin if path == "-" else path)
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    return lb.read_text(sys.stdin if path == "-" else path)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -48,12 +37,6 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _format_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=(TABLE, JSON), default=TABLE,
                         help="output style (default: table)")
-
-
-def _threads_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker threads; the search currently runs on "
-                             "one thread and output is identical for any N")
 
 
 def _result_text(result: search.SearchResult, fmt: str) -> str:
@@ -85,21 +68,20 @@ def _cmd_builtin(args) -> int:
 def _cmd_product(args) -> int:
     g = _read_graph(args.graph_a)
     h = _read_graph(args.graph_b)
-    product = graphs.cartesian_product(g, h, size_cap=_size_cap())
+    product = graphs.cartesian_product(g, h)
     _emit(graphs.format_edge_list(product), args.out)
     return 0
 
 
 def _cmd_power(args) -> int:
     g = _read_graph(args.graph)
-    power = graphs.cartesian_power(g, args.t, size_cap=_size_cap())
+    power = graphs.cartesian_power(g, args.t)
     _emit(graphs.format_edge_list(power), args.out)
     return 0
 
 
 def _cmd_order_knt(args) -> int:
-    order = knt.knt_ordering(args.n, args.t, method=args.method,
-                             size_cap=_size_cap())
+    order = knt.knt_ordering(args.n, args.t, method=args.method)
     payload = {"n": args.n, "t": args.t, "method": args.method}
     if args.flat:
         payload["order"] = knt.flat_indices(order, args.n)
@@ -262,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="start only from one vertex per automorphism class "
                         "(same optimum, possibly a different witness)")
     _format_flag(p)
-    _threads_flag(p)
     p.set_defaults(handler=_cmd_radio_number)
 
     p = sub.add_parser("search-consecutive",
@@ -272,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=search.DEFAULT_TIME_BUDGET,
                    help="time budget in seconds")
     _format_flag(p)
-    _threads_flag(p)
     p.set_defaults(handler=_cmd_search_consecutive)
 
     p = sub.add_parser("threshold",
@@ -296,8 +276,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error("give either --graph or both --n and --diam")
         if not args.graph and (args.n is None or args.diam is None):
             parser.error("give either --graph or both --n and --diam")
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be at least 1")
     try:
         return args.handler(args)
     except RadioLabelError as exc:

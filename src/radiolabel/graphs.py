@@ -148,25 +148,29 @@ class Graph:
                 cv, v = divmod(v, place)
                 total += f.distance(cu, cv)
             return total
+        # inline cache read: every product distance makes one per factor
         if self._dist is None:
-            self._dist = self._cached_matrix()
+            self.distance_matrix()
         return self._dist[u][v]
+
+    def distance_matrix(self) -> DistanceMatrix:
+        """All-pairs hop distances, filled once by BFS and cached.
+
+        Raises TooLargeError above DISTANCE_CACHE_LIMIT vertices.
+        """
+        if self._dist is None:
+            if self._n > DISTANCE_CACHE_LIMIT:
+                raise TooLargeError(
+                    f"all-pairs distances for {self._n} vertices exceed the "
+                    f"{DISTANCE_CACHE_LIMIT}-vertex cache; cartesian_power "
+                    f"products sum distances per coordinate without it")
+            self._dist = all_pairs_distances(self)
+        return self._dist
 
     def diameter(self) -> int:
         if self._factors is not None:
             return sum(f.diameter() for f in self._factors)
-        if self._dist is None:
-            self._dist = self._cached_matrix()
-        return max(map(max, self._dist))
-
-    def _cached_matrix(self) -> DistanceMatrix:
-        if self._n > DISTANCE_CACHE_LIMIT:
-            raise TooLargeError(
-                f"caching all-pairs distances for {self._n} vertices needs "
-                f"{self._n}^2 entries; build large products with "
-                f"cartesian_product/cartesian_power so distances are "
-                f"summed per coordinate instead")
-        return all_pairs_distances(self)
+        return max(map(max, self.distance_matrix()))
 
     def is_complete(self) -> bool:
         return self._n == 1 or self.diameter() == 1
@@ -253,10 +257,17 @@ def all_pairs_distances(graph: Graph) -> DistanceMatrix:
 
 
 def _resolve_cap(size_cap: Optional[int]) -> int:
+    """The vertex cap on constructions: the argument when given, else
+    RADIOLABEL_SIZE_CAP, else DEFAULT_SIZE_CAP."""
     if size_cap is not None:
         return size_cap
     env = os.environ.get(SIZE_CAP_ENV)
-    return int(env) if env else DEFAULT_SIZE_CAP
+    if not env:
+        return DEFAULT_SIZE_CAP
+    if not env.isdecimal() or int(env) < 1:
+        raise InvalidParameterError(
+            f"{SIZE_CAP_ENV}={env!r} is not a positive integer")
+    return int(env)
 
 
 def cartesian_product(g: Graph, h: Graph,
@@ -279,23 +290,14 @@ def cartesian_power(g: Graph, t: int, size_cap: Optional[int] = None) -> Graph:
     """t-fold Cartesian product of ``g`` with itself; returns g when t = 1."""
     if t < 1:
         raise InvalidParameterError("power must be at least 1")
+    cap = _resolve_cap(size_cap)
     if t == 1:
         return g
-    cap = _resolve_cap(size_cap)
     if g.vertex_count ** t > cap:
         raise SizeLimitExceededError(
             f"{g.vertex_count}^{t} vertices, above the cap of {cap}")
     base = g.factors or (g,)
     return Graph._product(base * t)
-
-
-def product_distance(coords_a: Sequence[int], coords_b: Sequence[int],
-                     factor_distances: Sequence[DistanceMatrix]) -> int:
-    """Distance in a product graph: sum of factor distances per coordinate."""
-    if len(coords_a) != len(coords_b) or len(coords_a) != len(factor_distances):
-        raise ArityMismatchError("coordinate tuples and factors must align")
-    return sum(dm[a][b]
-               for a, b, dm in zip(coords_a, coords_b, factor_distances))
 
 
 # ---------------------------------------------------------------------------

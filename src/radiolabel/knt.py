@@ -17,7 +17,7 @@ against each other.  Valid for n >= 3 and 1 <= t <= n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     ArityMismatchError,
@@ -25,31 +25,19 @@ from .errors import (
     ParameterOutOfRangeError,
     SizeLimitExceededError,
 )
-from .graphs import DEFAULT_SIZE_CAP
+from .graphs import _resolve_cap
 
 
-@dataclass(frozen=True)
-class CyclicShift:
-    """The n-cycle sending index v to v+1 (mod n)."""
-
-    n: int
-
-    def apply(self, v: int, times: int = 1) -> int:
-        return (v + times) % self.n
-
-    def __call__(self, v: int) -> int:
-        return (v + 1) % self.n
-
-
-def _validate(n: int, t: int, size_cap: int) -> None:
+def _validate(n: int, t: int, size_cap: Optional[int]) -> None:
     if n < 3:
         raise ParameterOutOfRangeError(f"base size n={n} must be at least 3")
     if not 1 <= t <= n:
         raise ParameterOutOfRangeError(
             f"power t={t} must satisfy 1 <= t <= n={n}")
-    if n ** t > size_cap:
+    cap = _resolve_cap(size_cap)
+    if n ** t > cap:
         raise SizeLimitExceededError(
-            f"{n}^{t} vertices, above the cap of {size_cap}")
+            f"{n}^{t} vertices, above the cap of {cap}")
 
 
 def _shift_column(k: int, n: int, t: int) -> int:
@@ -63,22 +51,16 @@ def _shift_column(k: int, n: int, t: int) -> int:
 
 
 def knt_ordering_matrix(n: int, t: int,
-                        size_cap: int = DEFAULT_SIZE_CAP) -> list:
-    """The ordering via the shift-matrix description, n rows at a time."""
-    _validate(n, t, size_cap)
-    order = []
-    first = [0] * t
-    for k in range(1, n ** (t - 1) + 1):
-        if k > 1:
-            col = _shift_column(k, n, t)
-            first[col] = (first[col] + 1) % n
-        for i in range(n):
-            order.append(tuple((e + i) % n for e in first))
-    return order
+                        size_cap: Optional[int] = None) -> list:
+    """The ordering via the shift-matrix description: each row of the
+    first-row matrix expands to its group of n rows."""
+    return [tuple((e + i) % n for e in first)
+            for first in first_row_matrix(n, t, size_cap).rows
+            for i in range(n)]
 
 
 def knt_ordering_recursive(n: int, t: int,
-                           size_cap: int = DEFAULT_SIZE_CAP) -> list:
+                           size_cap: Optional[int] = None) -> list:
     """The same ordering via the coordinate recursion.
 
     Position q at width w reduces to position (m//n)*n + r at width w-1,
@@ -102,7 +84,7 @@ def knt_ordering_recursive(n: int, t: int,
 
 
 def knt_ordering(n: int, t: int, method: str = "matrix",
-                 size_cap: int = DEFAULT_SIZE_CAP) -> list:
+                 size_cap: Optional[int] = None) -> list:
     if method == "matrix":
         return knt_ordering_matrix(n, t, size_cap)
     if method == "recursive":
@@ -142,14 +124,13 @@ class FirstRowMatrix:
 
 
 def first_row_matrix(n: int, t: int,
-                     size_cap: int = DEFAULT_SIZE_CAP) -> FirstRowMatrix:
+                     size_cap: Optional[int] = None) -> FirstRowMatrix:
     _validate(n, t, size_cap)
-    rows = []
     first = [0] * t
-    for k in range(1, n ** (t - 1) + 1):
-        if k > 1:
-            col = _shift_column(k, n, t)
-            first[col] = (first[col] + 1) % n
+    rows = [tuple(first)]
+    for k in range(2, n ** (t - 1) + 1):
+        col = _shift_column(k, n, t)
+        first[col] = (first[col] + 1) % n
         rows.append(tuple(first))
     return FirstRowMatrix(n, t, tuple(rows))
 
@@ -200,7 +181,7 @@ class BlockClaimReport:
 
 
 def verify_block_claims(n: int, t: int,
-                        size_cap: int = DEFAULT_SIZE_CAP) -> BlockClaimReport:
+                        size_cap: Optional[int] = None) -> BlockClaimReport:
     """Scan every column block of the first-row matrix for its three
     structural properties: blocks are constant, adjacent blocks repeat
     exactly when n divides c+1, and the n sibling blocks sharing one parent

@@ -19,7 +19,7 @@ from .errors import (
     InvalidParameterError,
     KOutOfRangeError,
 )
-from .graphs import Graph
+from .graphs import Graph, encode_coordinates
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,8 @@ class Labeling:
     def __post_init__(self):
         if not self.labels:
             raise IncompleteLabelingError("labeling is empty")
-        if any(not isinstance(x, int) or x < 1 for x in self.labels):
+        # type(x) is int also turns away bools
+        if any(type(x) is not int or x < 1 for x in self.labels):
             raise IncompleteLabelingError("labels must be positive integers")
         object.__setattr__(self, "labels", tuple(self.labels))
 
@@ -64,13 +65,12 @@ def validate_ordering(graph: Graph, order: Sequence[int]) -> tuple:
 
 
 def _labels_of(graph: Graph, labeling: Union[Labeling, Sequence[int]]) -> tuple:
-    labels = labeling.labels if isinstance(labeling, Labeling) else tuple(labeling)
-    if len(labels) != graph.vertex_count:
+    if not isinstance(labeling, Labeling):
+        labeling = Labeling(tuple(labeling))
+    if len(labeling) != graph.vertex_count:
         raise IncompleteLabelingError(
-            f"{len(labels)} labels for {graph.vertex_count} vertices")
-    if any(not isinstance(x, int) or x < 1 for x in labels):
-        raise IncompleteLabelingError("labels must be positive integers")
-    return labels
+            f"{len(labeling)} labels for {graph.vertex_count} vertices")
+    return labeling.labels
 
 
 def check_k_radio(graph: Graph, labeling: Union[Labeling, Sequence[int]],
@@ -164,6 +164,13 @@ def check_consecutive_ordering(graph: Graph, order: Sequence[int]) -> bool:
 # JSON file formats
 # ---------------------------------------------------------------------------
 
+def _json_ints(values: list, what: str) -> list:
+    """The values, insisting each is a JSON integer: 1.9 and true are not."""
+    if any(type(x) is not int for x in values):
+        raise InvalidParameterError(f"{what} must be integers")
+    return values
+
+
 def ordering_to_json(order: Sequence[int]) -> str:
     return json.dumps({"order": list(order)}, indent=2) + "\n"
 
@@ -180,24 +187,20 @@ def ordering_from_json(text: str, graph: Optional[Graph] = None) -> tuple:
         raise InvalidParameterError('ordering JSON needs a non-empty "order"')
     if isinstance(raw[0], list):
         width = len(raw[0])
-        if any(len(entry) != width for entry in raw):
+        if any(not isinstance(entry, list) or len(entry) != width
+               for entry in raw):
             raise InvalidParameterError("coordinate tuples differ in length")
-        base = int(data.get("n", max(max(entry) for entry in raw) + 1))
+        for entry in raw:
+            _json_ints(entry, "coordinates")
+        base = data.get("n", max(map(max, raw)) + 1)
+        _json_ints([base], '"n"')
         if graph is not None and base ** width != graph.vertex_count:
             raise InvalidParameterError(
                 f"{base}^{width} coordinates do not index "
                 f"{graph.vertex_count} vertices")
-        order = []
-        for entry in raw:
-            index = 0
-            for c in entry:
-                if not 0 <= c < base:
-                    raise InvalidParameterError(
-                        f"coordinate {c} outside base {base}")
-                index = index * base + c
-            order.append(index)
-        return tuple(order)
-    return tuple(int(v) for v in raw)
+        sizes = (base,) * width
+        return tuple(encode_coordinates(entry, sizes) for entry in raw)
+    return tuple(_json_ints(raw, "flat indices"))
 
 
 def labeling_to_json(labeling: Labeling, graph_file: str = "-") -> str:
@@ -214,7 +217,7 @@ def labeling_from_json(text: str) -> Labeling:
     labels = data.get("labels")
     if not isinstance(labels, list):
         raise InvalidParameterError('labeling JSON needs a "labels" list')
-    labeling = Labeling(tuple(int(x) for x in labels))
+    labeling = Labeling(tuple(_json_ints(labels, "labels")))
     declared = data.get("span")
     if declared is not None and declared != labeling.span:
         raise InvalidParameterError(

@@ -26,9 +26,6 @@ TIMEOUT = "timeout"
 DEFAULT_EXACT_LIMIT = 9
 DEFAULT_TIME_BUDGET = 30.0
 
-# local distance tables are worth building up to this many vertices
-_TABLE_LIMIT = 4096
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -48,58 +45,50 @@ class SearchResult:
         }
 
 
-def _distance_table(graph: Graph) -> list:
-    n = graph.vertex_count
-    return [[graph.distance(u, v) for v in range(n)] for u in range(n)]
-
-
-# automorphism scan budget for the opt-in symmetry reduction; covers 9! so
-# every instance under the exhaustive limit is scanned completely, and a
-# truncated scan only yields extra first-vertex representatives, never a
-# wrong one
-_AUTOMORPHISM_SCAN_CAP = 400_000
-
-
 def _first_vertex_representatives(graph: Graph) -> list:
-    """One starting vertex per symmetry class, by brute-force automorphism
-    enumeration over degree-compatible permutations.
+    """The least vertex of each automorphism orbit, in increasing order."""
+    reps = []
+    for v in range(graph.vertex_count):
+        if not any(_some_automorphism_maps(graph, r, v) for r in reps):
+            reps.append(v)
+    return reps
 
-    Vertices are merged whenever some adjacency-preserving permutation maps
-    one to the other; the minimum of each merged class acts as its
-    representative.  The scan stops early once everything has merged or the
-    candidate budget is spent, which can only leave classes too fine.
+
+def _some_automorphism_maps(graph: Graph, r: int, v: int) -> bool:
+    """Whether some automorphism sends r to v.
+
+    Backtracks over maps fixing r -> v, extended in BFS order from r: each
+    vertex goes to an unused neighbour of its BFS parent's image with the
+    same degree and the same adjacency to every vertex mapped before it.
     """
-    n = graph.vertex_count
     adj = graph.adjacency
-    edges = graph.edges()
-    degrees = [graph.degree(v) for v in range(n)]
+    n = graph.vertex_count
+    order, parent = [r], {r: r}
+    for u in order:
+        for w in adj[u]:
+            if w not in parent:
+                parent[w] = u
+                order.append(w)
+    image = [-1] * n
+    used = [False] * n
 
-    parent = list(range(n))
+    def extend(i: int) -> bool:
+        if i == n:
+            return True
+        u = order[i]
+        for w in (adj[image[parent[u]]] if i else (v,)):
+            if used[w] or len(adj[w]) != len(adj[u]):
+                continue
+            if any((x in adj[u]) != (image[x] in adj[w]) for x in order[:i]):
+                continue
+            image[u] = w
+            used[w] = True
+            if extend(i + 1):
+                return True
+            used[w] = False
+        return False
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    checked = 0
-    for perm in permutations(range(n)):
-        checked += 1
-        if checked > _AUTOMORPHISM_SCAN_CAP:
-            break
-        if any(degrees[v] != degrees[perm[v]] for v in range(n)):
-            continue
-        if all(perm[v] in adj[perm[u]] for u, v in edges):
-            for v in range(n):
-                union(v, perm[v])
-            if len({find(v) for v in range(n)}) == 1:
-                break
-    return sorted({find(v) for v in range(n)})
+    return extend(0)
 
 
 def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
@@ -130,7 +119,7 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
 
     diam = graph.diameter()
     bound = diam + 1
-    dist = _distance_table(graph)
+    dist = graph.distance_matrix()
     best_span = None
     best_order = None
     examined = 0
@@ -198,11 +187,12 @@ def find_consecutive_ordering(graph: Graph,
     order strands the walk in a barren subtree.  The rule is fixed, so
     repeated runs return the identical witness.  Returns witness-found,
     exhausted-no-witness when the whole tree was explored, or timeout once
-    the budget runs out.
+    the budget runs out.  Raises TooLargeError above the distance cache
+    limit, graphs.DISTANCE_CACHE_LIMIT vertices.
     """
     n = graph.vertex_count
     diam = graph.diameter()
-    dist = _distance_table(graph) if n <= _TABLE_LIMIT else None
+    dist = graph.distance_matrix()
     deadline = time.monotonic() + time_budget
     examined = 0
     order = [0] * n
@@ -211,12 +201,9 @@ def find_consecutive_ordering(graph: Graph,
     if sys.getrecursionlimit() < n + 100:
         sys.setrecursionlimit(n + 100)
 
-    def dist_of(u: int, v: int) -> int:
-        return dist[u][v] if dist is not None else graph.distance(u, v)
-
     def admissible(v: int, depth: int) -> bool:
         for c in range(1, min(diam, depth) + 1):
-            if dist_of(order[depth - c], v) < diam - c + 1:
+            if dist[order[depth - c]][v] < diam - c + 1:
                 return False
         return True
 

@@ -202,15 +202,28 @@ def test_missing_file_reports_error(capsys):
     assert "error" in err
 
 
-def test_threads_flag_accepted(capsys, tmp_path):
-    c4 = write(tmp_path, "c4.txt", "4 4\n0 1\n0 3\n1 2\n2 3\n")
-    code, a, _ = run(capsys, "radio-number", c4, "--threads", "4",
-                     "--format", "json")
-    assert code == 0
-    _, b, _ = run(capsys, "radio-number", c4, "--threads", "1",
-                  "--format", "json")
-    assert a == b
-    with pytest.raises(SystemExit) as info:
-        main(["radio-number", c4, "--threads", "0"])
-    assert info.value.code == 2
-    capsys.readouterr()
+def test_bad_size_cap_is_an_error_line(capsys, monkeypatch, tmp_path):
+    k3 = write(tmp_path, "k3.txt", "3 3\n0 1\n0 2\n1 2\n")
+    for bad in ("abc", "0", "-5", "1.5"):
+        monkeypatch.setenv("RADIOLABEL_SIZE_CAP", bad)
+        for argv in (("order-knt", "--n", "3", "--t", "2"),
+                     ("power", k3, "--t", "2")):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "", (bad, argv)
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "RADIOLABEL_SIZE_CAP" in err
+
+
+def test_non_integer_json_numbers_rejected(capsys, tmp_path):
+    c5 = write(tmp_path, "c5.txt", "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
+    good = write(tmp_path, "good.json", '{"labels": [1, 3, 5, 2, 4]}')
+    assert run(capsys, "verify", c5, good)[0] == 0
+    for labels in ("[1.9, 3, 5, 2, 4]", "[true, 3, 5, 2, 4]"):
+        bad = write(tmp_path, "bad.json", '{"labels": %s}' % labels)
+        code, out, err = run(capsys, "verify", c5, bad)
+        assert code == 1 and out == "", labels
+        assert err.startswith("error: ") and "integers" in err
+    order = write(tmp_path, "order.json", '{"order": [0.7, 1, 2, 3, 4]}')
+    code, out, err = run(capsys, "induce", c5, order)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "integers" in err

@@ -6,7 +6,6 @@ import pytest
 
 from conftest import random_connected, small_corpus
 from radiolabel import (
-    ArityMismatchError,
     DisconnectedError,
     IndexOutOfRangeError,
     InvalidParameterError,
@@ -24,7 +23,6 @@ from radiolabel import (
     parse_edge_list,
     path,
     petersen,
-    product_distance,
 )
 
 PETERSEN_EDGES = (
@@ -189,6 +187,17 @@ def test_size_cap():
         cartesian_product(complete(8), complete(8), size_cap=63)
 
 
+def test_size_cap_from_environment(monkeypatch):
+    monkeypatch.setenv("RADIOLABEL_SIZE_CAP", "63")
+    with pytest.raises(SizeLimitExceededError):
+        cartesian_power(complete(4), 3)
+    assert cartesian_power(complete(4), 3, size_cap=64).vertex_count == 64
+    for bad in ("abc", "0", "-5", "1.5"):
+        monkeypatch.setenv("RADIOLABEL_SIZE_CAP", bad)
+        with pytest.raises(InvalidParameterError):
+            cartesian_power(complete(4), 3)
+
+
 def test_big_flat_graph_refuses_distance_cache():
     # a large product re-read from an edge list loses its factor structure;
     # distance queries must fail with advice rather than build an n^2 cache
@@ -197,24 +206,19 @@ def test_big_flat_graph_refuses_distance_cache():
     assert big.distance(0, 7) >= 1  # factor-backed: fine
     flat = parse_edge_list(format_edge_list(cartesian_power(complete(3), 2)))
     assert flat.distance(0, 4) == 2  # small flat graph: fine
+    assert flat.distance_matrix() is flat.distance_matrix()
+    assert flat.distance_matrix() == all_pairs_distances(flat)
     grid = cartesian_power(cycle(80), 2)  # 6400 > cache limit
     flat_big = parse_edge_list(format_edge_list(grid))
     with pytest.raises(TooLargeError):
         flat_big.distance(0, 1)
+    with pytest.raises(TooLargeError):
+        flat_big.distance_matrix()
 
 
 def test_power_rejects_bad_t():
     with pytest.raises(InvalidParameterError):
         cartesian_power(complete(3), 0)
-
-
-def test_product_distance_examples():
-    k3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
-    assert product_distance((0, 0), (0, 0), [k3, k3]) == 0
-    assert product_distance((0, 1), (0, 2), [k3, k3]) == 1
-    assert product_distance((0, 1, 2), (1, 2, 0), [k3, k3, k3]) == 3
-    with pytest.raises(ArityMismatchError):
-        product_distance((0, 1), (0, 1, 2), [k3, k3])
 
 
 def test_product_distance_matches_bfs():

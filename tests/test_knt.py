@@ -2,7 +2,6 @@ import pytest
 
 from radiolabel import (
     ArityMismatchError,
-    CyclicShift,
     IndexOutOfRangeError,
     ParameterOutOfRangeError,
     SizeLimitExceededError,
@@ -72,11 +71,10 @@ def test_row_shift_structure():
     # one advanced by the cyclic shift in every coordinate
     for n, t in GRID:
         order = knt_ordering_matrix(n, t)
-        shift = CyclicShift(n)
         for g in range(n ** (t - 1)):
             rows = order[g * n:(g + 1) * n]
             for prev, cur in zip(rows, rows[1:]):
-                assert cur == tuple(shift(e) for e in prev), (n, t, g)
+                assert cur == tuple((e + 1) % n for e in prev), (n, t, g)
 
 
 def test_adjacent_groups_differ_in_one_column():
@@ -84,14 +82,13 @@ def test_adjacent_groups_differ_in_one_column():
         if t == 1:
             continue
         order = knt_ordering_matrix(n, t)
-        shift = CyclicShift(n)
         for g in range(1, n ** (t - 1)):
             prev = order[(g - 1) * n]
             cur = order[g * n]
             changed = [j for j in range(t) if prev[j] != cur[j]]
             assert len(changed) == 1, (n, t, g)
             j = changed[0]
-            assert cur[j] == shift(prev[j])
+            assert cur[j] == (prev[j] + 1) % n
 
 
 def test_agreement_shrinks_with_offset():
@@ -120,7 +117,7 @@ def test_induced_labeling_is_consecutive_small():
         assert is_consecutive(g, lab)
 
 
-def test_parameter_validation():
+def test_parameter_validation(monkeypatch):
     with pytest.raises(ParameterOutOfRangeError):
         knt_ordering_matrix(2, 1)
     with pytest.raises(ParameterOutOfRangeError):
@@ -131,20 +128,18 @@ def test_parameter_validation():
         knt_ordering(3, 2, method="sideways")
     with pytest.raises(SizeLimitExceededError):
         knt_ordering_matrix(5, 5, size_cap=100)
+    # the constructions honour the same environment cap as cartesian_power
+    monkeypatch.setenv("RADIOLABEL_SIZE_CAP", "5")
+    for method in ("matrix", "recursive"):
+        with pytest.raises(SizeLimitExceededError):
+            knt_ordering(3, 2, method=method)
+    with pytest.raises(SizeLimitExceededError):
+        verify_block_claims(3, 2)
 
 
 # ---------------------------------------------------------------------------
-# cyclic shift and agreement counting
+# agreement counting
 # ---------------------------------------------------------------------------
-
-def test_cyclic_shift_order():
-    for n in (3, 4, 7):
-        shift = CyclicShift(n)
-        for v in range(n):
-            assert shift.apply(v, n) == v
-            for j in range(1, n):
-                assert shift.apply(v, j) != v
-
 
 def test_agreement_count():
     assert agreement_count((0, 1, 2), (0, 1, 2)) == 3

@@ -7,6 +7,7 @@ import pytest
 from conftest import small_corpus
 from radiolabel import (
     IncompleteLabelingError,
+    IndexOutOfRangeError,
     InvalidParameterError,
     KOutOfRangeError,
     Labeling,
@@ -276,6 +277,18 @@ def test_ordering_json_bad_inputs():
     g = cartesian_power(complete(3), 2)
     with pytest.raises(InvalidParameterError):
         ordering_from_json('{"n": 2, "order": [[0, 1], [1, 0]]}', g)
+    with pytest.raises(IndexOutOfRangeError):
+        ordering_from_json('{"n": 2, "order": [[0, 1], [1, 2]]}')
+
+
+def test_ordering_json_rejects_non_integers():
+    for text in ('{"order": [0.7, 1, 2, 3, 4]}',
+                 '{"order": [true, 1, 2]}',
+                 '{"order": [[0, 1], [1, 0.0]]}',
+                 '{"order": [[0, 1], [false, 0]]}',
+                 '{"n": 2.0, "order": [[0, 1], [1, 0]]}'):
+        with pytest.raises(InvalidParameterError):
+            ordering_from_json(text)
 
 
 def test_labeling_json_round_trip():
@@ -292,8 +305,20 @@ def test_labeling_json_span_mismatch():
         labeling_from_json('{"labels": [1, 2], "span": 9}')
 
 
+def test_labeling_json_rejects_non_integers():
+    for text in ('{"labels": [1.9, 3, 5, 2, 4]}',
+                 '{"labels": [true, 3, 5, 2, 4]}',
+                 '{"labels": [1.0, 3, 5, 2, 4]}'):
+        with pytest.raises(InvalidParameterError):
+            labeling_from_json(text)
+
+
 def test_labeling_validation():
     with pytest.raises(IncompleteLabelingError):
         Labeling(())
     with pytest.raises(IncompleteLabelingError):
         Labeling((1, -2))
+    with pytest.raises(IncompleteLabelingError):
+        Labeling((True, 2))
+    with pytest.raises(IncompleteLabelingError):
+        check_radio(path(3), (True, 3, 2))

@@ -1,3 +1,6 @@
+import time
+from itertools import permutations
+
 import pytest
 
 from conftest import small_corpus, star
@@ -7,6 +10,7 @@ from radiolabel import (
     TIMEOUT,
     TooLargeError,
     WITNESS_FOUND,
+    cartesian_power,
     complete,
     cycle,
     exact_radio_number,
@@ -16,6 +20,21 @@ from radiolabel import (
     petersen,
     verify_witness,
 )
+from radiolabel.search import _first_vertex_representatives
+
+
+def orbit_minima_by_scan(graph) -> list:
+    """Least vertex of each automorphism orbit, by trying every permutation
+    of the vertex set; the reference for the backtracking test."""
+    n = graph.vertex_count
+    adj = graph.adjacency
+    edges = graph.edges()
+    least = list(range(n))
+    for perm in permutations(range(n)):
+        if all(perm[v] in adj[perm[u]] for u, v in edges):
+            for v in range(n):
+                least[perm[v]] = min(least[perm[v]], v)
+    return sorted(set(least))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +139,6 @@ def test_symmetry_reduction_preserves_optimum():
 
 def test_symmetry_reduction_single_start_on_transitive_graphs():
     from radiolabel import build_graph
-    from radiolabel.search import _first_vertex_representatives
     cube = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0),
                            (4, 5), (5, 6), (6, 7), (7, 4),
                            (0, 4), (1, 5), (2, 6), (3, 7)])
@@ -130,6 +148,15 @@ def test_symmetry_reduction_single_start_on_transitive_graphs():
     # the 4-path folds onto itself end to end
     assert _first_vertex_representatives(path(4)) == [0, 1]
     assert _first_vertex_representatives(star(3)) == [0, 1]
+    assert _first_vertex_representatives(petersen()) == [0]
+
+
+def test_orbit_representatives_match_permutation_scan():
+    graphs = small_corpus() + [("C9", cycle(9)),
+                               ("P3xP3", cartesian_power(path(3), 2))]
+    for name, g in graphs:
+        assert _first_vertex_representatives(g) == orbit_minima_by_scan(g), \
+            name
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +208,16 @@ def test_petersen_squared_witness():
     assert result.status == WITNESS_FOUND
     assert result.span == 100
     assert verify_witness(g, result.ordering)
+
+
+def test_witness_search_refuses_graphs_past_the_distance_cache():
+    # 15625 vertices: the search needs the full distance table, so it
+    # refuses before any work instead of running out its budget
+    g = cartesian_power(complete(5), 6)
+    start = time.monotonic()
+    with pytest.raises(TooLargeError):
+        find_consecutive_ordering(g, time_budget=60.0)
+    assert time.monotonic() - start < 1.0
 
 
 def test_zero_budget_times_out():
