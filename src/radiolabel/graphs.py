@@ -7,9 +7,11 @@ product adjacency) are idempotent, so a duplicated fill is harmless.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import os
 from collections import deque
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from typing import Callable, Iterable, Optional, Sequence, TextIO, Union
 
 from .errors import (
     ArityMismatchError,
@@ -166,6 +168,26 @@ class Graph:
                     f"products sum distances per coordinate without it")
             self._dist = all_pairs_distances(self)
         return self._dist
+
+    def _distance_function(self) -> Callable[[int, int], int]:
+        """Unchecked dist(u, v) for loops that query many in-range pairs.
+
+        Flat graphs read the cached BFS rows.  Products decode every vertex
+        once, then count differing coordinates when every factor is
+        complete, else sum the factors' distance matrices.  Built on each
+        call; nothing is cached on the graph.
+        """
+        if self._factors is None:
+            rows = self.distance_matrix()
+            return lambda u, v: rows[u][v]
+        # itertools.product yields coordinate tuples in flat-index order
+        coords = list(itertools.product(*map(range, self._sizes)))
+        if all(f.is_complete() for f in self._factors):
+            ne = operator.ne
+            return lambda u, v: sum(map(ne, coords[u], coords[v]))
+        tables = [f.distance_matrix() for f in self._factors]
+        at = operator.getitem  # tables[k][cu[k]][cv[k]], summed over k
+        return lambda u, v: sum(map(at, map(at, tables, coords[u]), coords[v]))
 
     def diameter(self) -> int:
         if self._factors is not None:
@@ -343,27 +365,37 @@ BUILDERS = {
 # ---------------------------------------------------------------------------
 
 def parse_edge_list(text: str) -> Graph:
+    """Parse edge-list text.  A token that is not an integer, or an edge
+    listed twice in either orientation, is an error naming its line."""
     rows = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            rows.append(line)
+            rows.append((number, line))
     if not rows:
         raise InvalidParameterError("empty edge-list input")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise InvalidParameterError(f"header must be 'n m', got {rows[0]!r}")
-    n, m = int(head[0]), int(head[1])
-    if len(rows) - 1 != m:
+    pairs = []
+    for number, line in rows:
+        try:
+            u, v = line.split()  # ValueError unless two tokens
+            pairs.append((int(u), int(v)))
+        except ValueError:
+            shape = "u v" if pairs else "n m"
+            raise InvalidParameterError(
+                f"line {number}: expected {shape!r}, got {line!r}") from None
+    (n, m), edges = pairs[0], pairs[1:]
+    if len(edges) != m:
         raise InvalidParameterError(
-            f"header declares {m} edges, found {len(rows) - 1}")
-    edges = []
-    for line in rows[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise InvalidParameterError(f"bad edge line {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return build_graph(n, edges)
+            f"header declares {m} edges, found {len(edges)}")
+    graph = build_graph(n, edges)
+    if graph.edge_count != m:  # the graph merged a repeat: name the first
+        seen = set()
+        for (number, _), (u, v) in zip(rows[1:], edges):
+            if (v, u) in seen or (u, v) in seen:
+                raise InvalidParameterError(
+                    f"line {number}: duplicate edge {u} {v}")
+            seen.add((u, v))
+    return graph
 
 
 def format_edge_list(graph: Graph) -> str:
@@ -373,11 +405,21 @@ def format_edge_list(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_source(source: Union[str, os.PathLike, TextIO]) -> str:
+    """Whole text of a path or an open text stream, which must be UTF-8."""
+    try:
+        if hasattr(source, "read"):
+            return source.read()
+        with open(source, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        name = getattr(source, "name", source)
+        raise InvalidParameterError(
+            f"{name}: not UTF-8 text ({exc})") from exc
+
+
 def read_edge_list(source: Union[str, os.PathLike, TextIO]) -> Graph:
-    if hasattr(source, "read"):
-        return parse_edge_list(source.read())
-    with open(source, "r", encoding="utf-8") as handle:
-        return parse_edge_list(handle.read())
+    return parse_edge_list(_read_source(source))
 
 
 def write_edge_list(graph: Graph,

@@ -19,7 +19,7 @@ from .errors import (
     InvalidParameterError,
     KOutOfRangeError,
 )
-from .graphs import Graph, encode_coordinates
+from .graphs import Graph, _read_source, encode_coordinates
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,7 @@ def check_k_radio(graph: Graph, labeling: Union[Labeling, Sequence[int]],
     diam = graph.diameter()
     if not 1 <= k <= max(diam, 1):
         raise KOutOfRangeError(f"k={k} not in [1, {max(diam, 1)}]")
+    dist = graph._distance_function()
     violations = []
     n = graph.vertex_count
     for u in range(n):
@@ -91,7 +92,7 @@ def check_k_radio(graph: Graph, labeling: Union[Labeling, Sequence[int]],
             gap = abs(fu - labels[v])
             if gap > k:
                 continue
-            required = k + 1 - graph.distance(u, v)
+            required = k + 1 - dist(u, v)
             if gap < required:
                 violations.append(Violation(u, v, required, gap))
                 if fail_fast:
@@ -117,6 +118,7 @@ def induced_labeling(graph: Graph, order: Sequence[int]) -> Labeling:
     """
     order = validate_ordering(graph, order)
     diam = graph.diameter()
+    dist = graph._distance_function()
     bound = diam + 1
     n = len(order)
     labels = [0] * n
@@ -125,7 +127,7 @@ def induced_labeling(graph: Graph, order: Sequence[int]) -> Labeling:
         best = prev + 1
         for c in range(1, min(diam, i) + 1):
             u = order[i - c]
-            candidate = labels[u] + bound - graph.distance(u, v)
+            candidate = labels[u] + bound - dist(u, v)
             if candidate > best:
                 best = candidate
         labels[v] = best
@@ -151,11 +153,12 @@ def check_consecutive_ordering(graph: Graph, order: Sequence[int]) -> bool:
     """
     order = validate_ordering(graph, order)
     diam = graph.diameter()
+    dist = graph._distance_function()
     n = len(order)
     for i in range(n - 1):
         u = order[i]
         for c in range(1, min(diam, n - 1 - i) + 1):
-            if graph.distance(u, order[i + c]) < diam - c + 1:
+            if dist(u, order[i + c]) < diam - c + 1:
                 return False
     return True
 
@@ -171,6 +174,20 @@ def _json_ints(values: list, what: str) -> list:
     return values
 
 
+def _json_object(text: str, what: str) -> dict:
+    """The parsed text, insisting on well-formed JSON with an object at the
+    top level."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidParameterError(
+            f"{what} JSON is malformed: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidParameterError(
+            f"{what} JSON must be an object, not {type(data).__name__}")
+    return data
+
+
 def ordering_to_json(order: Sequence[int]) -> str:
     return json.dumps({"order": list(order)}, indent=2) + "\n"
 
@@ -181,15 +198,16 @@ def ordering_from_json(text: str, graph: Optional[Graph] = None) -> tuple:
     Coordinate tuples are flattened mixed-radix over a uniform base, which
     is validated against the graph size when a graph is supplied.
     """
-    data = json.loads(text)
+    data = _json_object(text, "ordering")
     raw = data.get("order")
     if not isinstance(raw, list) or not raw:
         raise InvalidParameterError('ordering JSON needs a non-empty "order"')
     if isinstance(raw[0], list):
         width = len(raw[0])
-        if any(not isinstance(entry, list) or len(entry) != width
-               for entry in raw):
-            raise InvalidParameterError("coordinate tuples differ in length")
+        if not width or any(not isinstance(entry, list)
+                            or len(entry) != width for entry in raw):
+            raise InvalidParameterError(
+                "coordinate tuples are empty or differ in length")
         for entry in raw:
             _json_ints(entry, "coordinates")
         base = data.get("n", max(map(max, raw)) + 1)
@@ -213,7 +231,7 @@ def labeling_to_json(labeling: Labeling, graph_file: str = "-") -> str:
 
 
 def labeling_from_json(text: str) -> Labeling:
-    data = json.loads(text)
+    data = _json_object(text, "labeling")
     labels = data.get("labels")
     if not isinstance(labels, list):
         raise InvalidParameterError('labeling JSON needs a "labels" list')
@@ -226,7 +244,4 @@ def labeling_from_json(text: str) -> Labeling:
 
 
 def read_text(source: Union[str, os.PathLike, TextIO]) -> str:
-    if hasattr(source, "read"):
-        return source.read()
-    with open(source, "r", encoding="utf-8") as handle:
-        return handle.read()
+    return _read_source(source)

@@ -4,7 +4,16 @@ from __future__ import annotations
 
 import random
 
-from radiolabel import Graph, build_graph, complete, cycle, path
+from radiolabel import (
+    Graph,
+    build_graph,
+    cartesian_power,
+    cartesian_product,
+    complete,
+    cycle,
+    path,
+    petersen,
+)
 
 
 def star(leaves: int) -> Graph:
@@ -37,3 +46,23 @@ def small_corpus() -> list:
         n = rng.randrange(4, 7)
         graphs.append((f"rand{i}", random_connected(n, rng.randrange(0, 4), rng)))
     return graphs
+
+
+def kernel_corpus() -> list:
+    """Named flat graphs and products covering each branch of the fast
+    distance kernel: BFS rows, Hamming distance over complete factors, and
+    summed factor tables."""
+    k3 = complete(3)
+    return [
+        ("P5", path(5)),
+        ("C6", cycle(6)),
+        ("petersen", petersen()),
+        ("K4^3", cartesian_power(complete(4), 3)),
+        ("P4xC5", cartesian_product(path(4), cycle(5))),
+        ("K3xP4xC5", cartesian_product(cartesian_product(k3, path(4)),
+                                        cycle(5))),
+        ("petersen^2", cartesian_power(petersen(), 2)),
+        ("K1xC5", cartesian_product(complete(1), cycle(5))),
+        ("K3^2x(P3xK2)", cartesian_product(
+            cartesian_power(k3, 2), cartesian_product(path(3), complete(2)))),
+    ]

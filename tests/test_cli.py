@@ -227,3 +227,44 @@ def test_non_integer_json_numbers_rejected(capsys, tmp_path):
     code, out, err = run(capsys, "induce", c5, order)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "integers" in err
+
+
+P3 = "3 2\n0 1\n1 2\n"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("verify", b"[1, 2, 3]", "must be an object"),
+    ("induce", b"[0, 1, 2]", "must be an object"),
+    ("verify", b'{"labels": [1, 2, 3', "malformed"),
+    ("induce", b'{"order": [0, 1', "malformed"),
+    ("induce", b'{"order": [[], [], []]}', "coordinate tuples"),
+    ("verify", b"\xff\xfe", "not UTF-8"),
+], ids=["labels-array", "order-array", "labels-truncated", "order-truncated",
+        "empty-coordinates", "labels-not-utf8"])
+def test_malformed_json_is_an_error_line(capsys, tmp_path, command, text,
+                                         message):
+    graph = write(tmp_path, "p3.txt", P3)
+    target = tmp_path / "in.json"
+    target.write_bytes(text)
+    code, out, err = run(capsys, command, graph, str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"\xff\xfe", "not UTF-8"),
+    (b"a b\n", "line 1: expected 'n m', got 'a b'"),
+    (b"3 2\n0 1\n1 x\n", "line 3: expected 'u v', got '1 x'"),
+    (b"3 3\n0 1\n1 2\n0 1\n", "line 4: duplicate edge 0 1"),
+    (b"# c\n3 3\n0 1\n1 2\n1 0\n", "line 5: duplicate edge 1 0"),
+], ids=["not-utf8", "header-token", "edge-token", "duplicate-edge",
+        "reversed-duplicate-edge"])
+def test_malformed_edge_list_is_an_error_line(capsys, tmp_path, text,
+                                              message):
+    target = tmp_path / "g.txt"
+    target.write_bytes(text)
+    code, out, err = run(capsys, "power", str(target), "--t", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err

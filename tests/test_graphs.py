@@ -4,7 +4,7 @@ from collections import deque
 
 import pytest
 
-from conftest import random_connected, small_corpus
+from conftest import kernel_corpus, random_connected, small_corpus
 from radiolabel import (
     DisconnectedError,
     IndexOutOfRangeError,
@@ -123,6 +123,15 @@ def test_distance_matrix_invariants():
         assert max(map(max, dist)) == g.diameter(), name
 
 
+def test_distance_function_matches_bfs():
+    for name, g in kernel_corpus():
+        dist = g._distance_function()
+        bfs = all_pairs_distances(g)
+        n = g.vertex_count
+        assert all(dist(u, v) == bfs[u][v]
+                   for u in range(n) for v in range(n)), name
+
+
 # ---------------------------------------------------------------------------
 # products and powers
 # ---------------------------------------------------------------------------
@@ -214,6 +223,8 @@ def test_big_flat_graph_refuses_distance_cache():
         flat_big.distance(0, 1)
     with pytest.raises(TooLargeError):
         flat_big.distance_matrix()
+    with pytest.raises(TooLargeError):
+        flat_big._distance_function()
 
 
 def test_power_rejects_bad_t():

@@ -4,13 +4,14 @@ from itertools import permutations
 
 import pytest
 
-from conftest import small_corpus
+from conftest import kernel_corpus, small_corpus
 from radiolabel import (
     IncompleteLabelingError,
     IndexOutOfRangeError,
     InvalidParameterError,
     KOutOfRangeError,
     Labeling,
+    Violation,
     all_pairs_distances,
     build_graph,
     cartesian_power,
@@ -50,6 +51,46 @@ def naive_induced(graph, order):
             best = max(best, labels[u] + diam + 1 - dist[u][v])
         labels[v] = best
     return labels
+
+
+# reference loops: the checks as written against the checked per-call
+# Graph.distance, which the fast distance kernel must agree with
+
+def reference_k_radio(graph, labels, k, fail_fast=False):
+    violations = []
+    n = graph.vertex_count
+    for u in range(n):
+        for v in range(u + 1, n):
+            gap = abs(labels[u] - labels[v])
+            if gap > k:
+                continue
+            required = k + 1 - graph.distance(u, v)
+            if gap < required:
+                violations.append(Violation(u, v, required, gap))
+                if fail_fast:
+                    return violations
+    return violations
+
+
+def reference_induced(graph, order):
+    diam = graph.diameter()
+    labels = [0] * graph.vertex_count
+    prev = 0
+    for i, v in enumerate(order):
+        best = prev + 1
+        for c in range(1, min(diam, i) + 1):
+            u = order[i - c]
+            best = max(best, labels[u] + diam + 1 - graph.distance(u, v))
+        labels[v] = prev = best
+    return tuple(labels)
+
+
+def reference_window(graph, order):
+    diam = graph.diameter()
+    n = len(order)
+    return all(graph.distance(order[i], order[i + c]) >= diam - c + 1
+               for i in range(n - 1)
+               for c in range(1, min(diam, n - 1 - i) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +221,36 @@ def test_induced_passes_radio_and_increases():
             assert all(a < b for a, b in zip(along, along[1:])), name
 
 
+def test_checks_agree_with_per_call_distance_loops():
+    rng = random.Random(11)
+    windows = set()
+    for name, g in kernel_corpus():
+        n = g.vertex_count
+        orders = [tuple(rng.sample(range(n), n)) for _ in range(3)]
+        if name == "K4^3":
+            knt = flat_indices(knt_ordering(4, 3), 4)
+            late = list(knt)
+            late[-1], late[-3] = late[-3], late[-1]
+            orders += [tuple(knt), tuple(late)]
+        labelings = [tuple(rng.randint(1, n) for _ in range(n))]
+        for order in orders:
+            window = check_consecutive_ordering(g, order)
+            assert window == reference_window(g, order), (name, order)
+            windows.add(window)
+            labels = induced_labeling(g, order).labels
+            assert labels == reference_induced(g, order), (name, order)
+            swapped = list(labels)
+            i, j = rng.sample(range(n), 2)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            labelings += [labels, tuple(swapped)]
+        for labels in labelings:
+            for k in range(1, max(g.diameter(), 1) + 1):
+                for fail_fast in (False, True):
+                    assert check_k_radio(g, labels, k, fail_fast) == \
+                        reference_k_radio(g, labels, k, fail_fast), (name, k)
+    assert windows == {True, False}
+
+
 def test_induced_rejects_non_permutation():
     with pytest.raises(InvalidParameterError):
         induced_labeling(path(3), (0, 1, 1))
@@ -274,6 +345,8 @@ def test_ordering_json_bad_inputs():
         ordering_from_json('{"order": []}')
     with pytest.raises(InvalidParameterError):
         ordering_from_json('{"order": [[0, 1], [0]]}')
+    with pytest.raises(InvalidParameterError):
+        ordering_from_json('{"order": [[], []]}')
     g = cartesian_power(complete(3), 2)
     with pytest.raises(InvalidParameterError):
         ordering_from_json('{"n": 2, "order": [[0, 1], [1, 0]]}', g)
