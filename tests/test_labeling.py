@@ -54,7 +54,8 @@ def naive_induced(graph, order):
 
 
 # reference loops: the checks as written against the checked per-call
-# Graph.distance, which the fast distance kernel must agree with
+# Graph.distance, which the fast distance kernel must agree with (the
+# induced labeling is checked against naive_induced above)
 
 def reference_k_radio(graph, labels, k, fail_fast=False):
     violations = []
@@ -70,19 +71,6 @@ def reference_k_radio(graph, labels, k, fail_fast=False):
                 if fail_fast:
                     return violations
     return violations
-
-
-def reference_induced(graph, order):
-    diam = graph.diameter()
-    labels = [0] * graph.vertex_count
-    prev = 0
-    for i, v in enumerate(order):
-        best = prev + 1
-        for c in range(1, min(diam, i) + 1):
-            u = order[i - c]
-            best = max(best, labels[u] + diam + 1 - graph.distance(u, v))
-        labels[v] = prev = best
-    return tuple(labels)
 
 
 def reference_window(graph, order):
@@ -238,7 +226,7 @@ def test_checks_agree_with_per_call_distance_loops():
             assert window == reference_window(g, order), (name, order)
             windows.add(window)
             labels = induced_labeling(g, order).labels
-            assert labels == reference_induced(g, order), (name, order)
+            assert list(labels) == naive_induced(g, order), (name, order)
             swapped = list(labels)
             i, j = rng.sample(range(n), 2)
             swapped[i], swapped[j] = swapped[j], swapped[i]
