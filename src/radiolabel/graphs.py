@@ -389,6 +389,12 @@ def parse_edge_list(text: str) -> Graph:
             raise InvalidParameterError(
                 f"line {number}: expected {shape!r}, got {line!r}") from None
     (n, m), edges = pairs[0], pairs[1:]
+    # checked before building, so a short file cannot make the builder
+    # allocate for a huge n: a connected graph has at least n - 1 edges
+    if m < n - 1:
+        raise DisconnectedError(
+            f"graph is disconnected: the header declares {m} edges, fewer "
+            f"than the {n - 1} needed to connect {n} vertices")
     if len(edges) != m:
         raise InvalidParameterError(
             f"header declares {m} edges, found {len(edges)}")

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Sequence, TextIO, Union
 
 from .errors import (
@@ -78,26 +80,39 @@ def check_k_radio(graph: Graph, labeling: Union[Labeling, Sequence[int]],
                   k: int, fail_fast: bool = False) -> list:
     """All pairs violating |f(u)-f(v)| >= k + 1 - d(u,v); empty means valid.
 
-    With fail_fast the scan stops at the first violation.
+    Violations come in (u, v) order with u < v, and with fail_fast only
+    the first of them is returned.  Since d(u, v) >= 1, a pair whose
+    labels differ by k or more always passes, so the check groups the
+    vertices by label and tests only pairs whose labels differ by less
+    than k: O(N log N + N k m) work for N vertices and at most m
+    vertices sharing one label, not all N^2 / 2 pairs.
     """
     labels = _labels_of(graph, labeling)
     diam = graph.diameter()
     if not 1 <= k <= max(diam, 1):
         raise KOutOfRangeError(f"k={k} not in [1, {max(diam, 1)}]")
     dist = graph._distance_function()
+    buckets = {}  # label -> its vertices, ascending
+    for v, label in enumerate(labels):
+        buckets.setdefault(label, []).append(v)
     violations = []
-    n = graph.vertex_count
-    for u in range(n):
-        fu = labels[u]
-        for v in range(u + 1, n):
-            gap = abs(fu - labels[v])
-            if gap > k:
+    for u, fu in enumerate(labels):
+        found = []
+        for label in range(fu - k + 1, fu + k):
+            bucket = buckets.get(label)
+            if bucket is None or bucket[-1] <= u:
                 continue
-            required = k + 1 - dist(u, v)
-            if gap < required:
-                violations.append(Violation(u, v, required, gap))
-                if fail_fast:
-                    return violations
+            gap = abs(fu - label)
+            reach = k + 1 - gap  # a violation iff d(u, v) < reach
+            for v in bucket[bisect_right(bucket, u):]:
+                d = dist(u, v)
+                if d < reach:
+                    found.append(Violation(u, v, k + 1 - d, gap))
+        if found:
+            found.sort(key=attrgetter("v"))
+            if fail_fast:
+                return found[:1]
+            violations += found
     return violations
 
 

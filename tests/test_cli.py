@@ -258,8 +258,9 @@ def test_malformed_json_is_an_error_line(capsys, tmp_path, command, text,
     (b"3 2\n0 1\n1 x\n", "line 3: expected 'u v', got '1 x'"),
     (b"3 3\n0 1\n1 2\n0 1\n", "line 4: duplicate edge 0 1"),
     (b"# c\n3 3\n0 1\n1 2\n1 0\n", "line 5: duplicate edge 1 0"),
+    (b"200000 0\n", "needed to connect 200000 vertices"),
 ], ids=["not-utf8", "header-token", "edge-token", "duplicate-edge",
-        "reversed-duplicate-edge"])
+        "reversed-duplicate-edge", "too-few-edges"])
 def test_malformed_edge_list_is_an_error_line(capsys, tmp_path, text,
                                               message):
     target = tmp_path / "g.txt"

@@ -1,14 +1,18 @@
 import io
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import kernel_corpus, random_connected, small_corpus
 from radiolabel import (
     DisconnectedError,
     IndexOutOfRangeError,
+    Graph,
     InvalidParameterError,
+    RadioLabelError,
     SelfLoopError,
     SizeLimitExceededError,
     all_pairs_distances,
@@ -336,6 +340,48 @@ def test_edge_list_header_mismatch():
         parse_edge_list("3 2\n0 1\n")
     with pytest.raises(InvalidParameterError):
         parse_edge_list("")
+
+
+def test_edge_list_too_few_edges_fails_before_building():
+    # n - 1 edges are needed to connect n vertices, so this header is
+    # refused without allocating anything per vertex
+    tracemalloc.start()
+    try:
+        with pytest.raises(DisconnectedError,
+                           match="fewer than the 199999 needed"):
+            parse_edge_list("200000 0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert parse_edge_list("1 0\n").vertex_count == 1
+
+
+def counted_edge_list(n: int, edges: list) -> str:
+    return "\n".join([f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges])
+
+
+EDGE_TOKENS = st.integers(-1, 5).map(str) | st.sampled_from(
+    ("x", "#", "1.5", "", "10000000000"))
+# free text, lines of loose tokens, and headers that count the edges given
+EDGE_TEXTS = (
+    st.text()
+    | st.lists(st.lists(EDGE_TOKENS, max_size=3).map(" ".join),
+               max_size=8).map("\n".join)
+    | st.builds(counted_edge_list, st.integers(1, 4),
+                st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         max_size=6)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(EDGE_TEXTS)
+def test_parse_edge_list_returns_a_graph_or_a_package_error(text):
+    try:
+        g = parse_edge_list(text)
+    except RadioLabelError:
+        return
+    assert isinstance(g, Graph)
+    assert parse_edge_list(format_edge_list(g)).edges() == g.edges()
 
 
 def test_edge_list_deterministic_order():

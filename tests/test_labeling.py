@@ -3,6 +3,7 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import kernel_corpus, small_corpus
 from radiolabel import (
@@ -11,6 +12,7 @@ from radiolabel import (
     InvalidParameterError,
     KOutOfRangeError,
     Labeling,
+    RadioLabelError,
     Violation,
     all_pairs_distances,
     build_graph,
@@ -239,6 +241,26 @@ def test_checks_agree_with_per_call_distance_loops():
     assert windows == {True, False}
 
 
+CHECK_CORPUS = kernel_corpus() + small_corpus()
+
+
+@pytest.mark.parametrize("name, g", CHECK_CORPUS,
+                         ids=[name for name, _ in CHECK_CORPUS])
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(data=st.data())
+def test_k_radio_agrees_with_pairwise_scan(name, g, data):
+    # narrow labels repeat heavily, so for k < diam many equal-label pairs
+    # are tested; wide labels leave gaps in the span
+    n = g.vertex_count
+    top = data.draw(st.sampled_from((max(2, n // 4), 3 * n)), label="top")
+    labels = data.draw(st.lists(st.integers(1, top), min_size=n,
+                                max_size=n), label="labels")
+    for k in range(1, max(g.diameter(), 1) + 1):
+        for fail_fast in (False, True):
+            assert check_k_radio(g, labels, k, fail_fast) == \
+                reference_k_radio(g, labels, k, fail_fast), (name, k)
+
+
 def test_induced_rejects_non_permutation():
     with pytest.raises(InvalidParameterError):
         induced_labeling(path(3), (0, 1, 1))
@@ -372,6 +394,41 @@ def test_labeling_json_rejects_non_integers():
                  '{"labels": [1.0, 3, 5, 2, 4]}'):
         with pytest.raises(InvalidParameterError):
             labeling_from_json(text)
+
+
+JSON_KEYS = st.sampled_from(("order", "labels", "span", "n", "graph"))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(JSON_KEYS, inner, max_size=4),
+    max_leaves=12)
+# lists the readers mostly accept, so that fuzzing reaches past the shape
+# checks: small integers, and coordinate tuples of one width
+INT_LISTS = st.lists(st.integers(-1, 9), min_size=1, max_size=8)
+TUPLE_LISTS = st.integers(1, 3).flatmap(lambda width: st.lists(
+    st.lists(st.integers(-1, 4), min_size=width, max_size=width),
+    min_size=1, max_size=8))
+JSON_TEXTS = st.text() | st.dictionaries(
+    JSON_KEYS, JSON_VALUES | INT_LISTS | TUPLE_LISTS,
+    max_size=4).map(json.dumps)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(JSON_TEXTS)
+def test_json_readers_return_a_value_or_a_package_error(text):
+    try:
+        order = ordering_from_json(text)
+    except RadioLabelError:
+        pass
+    else:
+        assert all(type(v) is int for v in order)
+    try:
+        labeling = labeling_from_json(text)
+    except RadioLabelError:
+        pass
+    else:
+        assert labeling_from_json(labeling_to_json(labeling)) == labeling
 
 
 def test_labeling_validation():

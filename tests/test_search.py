@@ -76,6 +76,19 @@ def test_p4_lexicographic_tie_break():
     assert result.ordering == exact_radio_number(path(4), prune=False).ordering
 
 
+def liu_zhu_span(n: int) -> int:
+    """rn(P_n) for n >= 4 by Liu and Zhu (SIAM J. Discrete Math. 19, 2005):
+    2k^2 + 2 for n = 2k + 1 and 2k^2 - 2k + 1 for n = 2k, with labels
+    counted from 0; labels here start at 1."""
+    k, odd = divmod(n, 2)
+    return (2 * k * k + 2 if odd else 2 * k * k - 2 * k + 1) + 1
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_path_spans_match_liu_zhu(n):
+    assert exact_radio_number(path(n)).span == liu_zhu_span(n)
+
+
 def test_pruned_equals_unpruned_on_corpus():
     for name, g in small_corpus():
         pruned = exact_radio_number(g)
