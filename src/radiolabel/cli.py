@@ -95,9 +95,7 @@ def _cmd_induce(args) -> int:
     graph = _read_graph(args.graph)
     order = lb.ordering_from_json(_read_text(args.ordering), graph)
     result = lb.induced_labeling(graph, order)
-    # the window criterion is equivalent to is_consecutive on the induced
-    # labeling and stays linear-ish on large products
-    consecutive = lb.check_consecutive_ordering(graph, order)
+    consecutive = result.span == graph.vertex_count
     if args.format == JSON:
         payload = {
             "graph": args.graph,
@@ -271,17 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "threshold":
-        if bool(args.graph) == (args.n is not None or args.diam is not None):
-            parser.error("give either --graph or both --n and --diam")
-        if not args.graph and (args.n is None or args.diam is None):
-            parser.error("give either --graph or both --n and --diam")
+    # --graph alone, or both --n and --diam without it
+    if args.command == "threshold" and (
+            [args.n, args.diam].count(None) != (2 if args.graph else 0)):
+        parser.error("give either --graph or both --n and --diam")
     try:
         return args.handler(args)
-    except RadioLabelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (RadioLabelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

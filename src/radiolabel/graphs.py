@@ -283,48 +283,48 @@ def all_pairs_distances(graph: Graph) -> DistanceMatrix:
     return [bfs_distances(graph, s) for s in range(graph.vertex_count)]
 
 
-def _resolve_cap(size_cap: Optional[int]) -> int:
-    """The vertex cap on constructions: the argument when given, else
-    RADIOLABEL_SIZE_CAP, else DEFAULT_SIZE_CAP."""
-    if size_cap is not None:
-        return size_cap
+def _check_size(sizes: Iterable[int], what: str) -> None:
+    """Refuse a construction of more vertices than RADIOLABEL_SIZE_CAP
+    (default DEFAULT_SIZE_CAP) allows.
+
+    Multiplies the factor sizes one at a time and stops at the first
+    partial product over the cap, so a huge n^t is never computed;
+    ``what`` names the size in the error.
+    """
     env = os.environ.get(SIZE_CAP_ENV)
-    if not env:
-        return DEFAULT_SIZE_CAP
-    if not env.isdecimal() or int(env) < 1:
+    if env and (not env.isdecimal() or int(env) < 1):
         raise InvalidParameterError(
             f"{SIZE_CAP_ENV}={env!r} is not a positive integer")
-    return int(env)
+    cap = int(env) if env else DEFAULT_SIZE_CAP
+    count = 1
+    for size in sizes:
+        count *= size
+        if count > cap:
+            raise SizeLimitExceededError(
+                f"{what} vertices, above the cap of {cap}")
 
 
-def cartesian_product(g: Graph, h: Graph,
-                      size_cap: Optional[int] = None) -> Graph:
+def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product: (u,v) ~ (u',v') iff equal in one coordinate and
     adjacent in the other.  Factor lists flatten, so products of products
     keep coordinatewise distances exact."""
-    cap = _resolve_cap(size_cap)
-    factors = (g.factors or (g,)) + (h.factors or (h,))
-    count = 1
-    for f in factors:
-        count *= f.vertex_count
-    if count > cap:
-        raise SizeLimitExceededError(
-            f"product has {count} vertices, above the cap of {cap}")
-    return Graph._product(factors)
+    _check_size((g.vertex_count, h.vertex_count),
+                f"product has {g.vertex_count * h.vertex_count}")
+    return Graph._product((g.factors or (g,)) + (h.factors or (h,)))
 
 
-def cartesian_power(g: Graph, t: int, size_cap: Optional[int] = None) -> Graph:
-    """t-fold Cartesian product of ``g`` with itself; returns g when t = 1."""
+def cartesian_power(g: Graph, t: int) -> Graph:
+    """t-fold Cartesian product of ``g`` with itself; returns g when t = 1
+    or when g has one vertex (K_1^t is K_1)."""
     if t < 1:
         raise InvalidParameterError("power must be at least 1")
-    cap = _resolve_cap(size_cap)
-    if t == 1:
+    n = g.vertex_count
+    trivial = t == 1 or n == 1
+    # the size is never formatted: n^t can pass the digit limit of str(int)
+    _check_size(() if trivial else itertools.repeat(n, t), f"{n}^{t}")
+    if trivial:
         return g
-    if g.vertex_count ** t > cap:
-        raise SizeLimitExceededError(
-            f"{g.vertex_count}^{t} vertices, above the cap of {cap}")
-    base = g.factors or (g,)
-    return Graph._product(base * t)
+    return Graph._product((g.factors or (g,)) * t)
 
 
 # ---------------------------------------------------------------------------

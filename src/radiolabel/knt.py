@@ -16,28 +16,25 @@ against each other.  Valid for n >= 3 and 1 <= t <= n.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (
     ArityMismatchError,
     IndexOutOfRangeError,
     ParameterOutOfRangeError,
-    SizeLimitExceededError,
 )
-from .graphs import _resolve_cap
+from .graphs import _check_size
 
 
-def _validate(n: int, t: int, size_cap: Optional[int]) -> None:
+def _validate(n: int, t: int) -> None:
     if n < 3:
         raise ParameterOutOfRangeError(f"base size n={n} must be at least 3")
     if not 1 <= t <= n:
         raise ParameterOutOfRangeError(
             f"power t={t} must satisfy 1 <= t <= n={n}")
-    cap = _resolve_cap(size_cap)
-    if n ** t > cap:
-        raise SizeLimitExceededError(
-            f"{n}^{t} vertices, above the cap of {cap}")
+    _check_size(itertools.repeat(n, t), f"{n}^{t}")
 
 
 def _shift_column(k: int, n: int, t: int) -> int:
@@ -50,24 +47,22 @@ def _shift_column(k: int, n: int, t: int) -> int:
     return t - p - 1
 
 
-def knt_ordering_matrix(n: int, t: int,
-                        size_cap: Optional[int] = None) -> list:
+def knt_ordering_matrix(n: int, t: int) -> list:
     """The ordering via the shift-matrix description: each row of the
     first-row matrix expands to its group of n rows."""
     return [tuple((e + i) % n for e in first)
-            for first in first_row_matrix(n, t, size_cap).rows
+            for first in first_row_matrix(n, t).rows
             for i in range(n)]
 
 
-def knt_ordering_recursive(n: int, t: int,
-                           size_cap: Optional[int] = None) -> list:
+def knt_ordering_recursive(n: int, t: int) -> list:
     """The same ordering via the coordinate recursion.
 
     Position q at width w reduces to position (m//n)*n + r at width w-1,
     where m, r = divmod(q, n), contributing trailing coordinate
     (r + m - m//n) mod n.  Width 1 lists the base vertices in index order.
     """
-    _validate(n, t, size_cap)
+    _validate(n, t)
     out = []
     for q in range(n ** t):
         coords = [0] * t
@@ -83,12 +78,11 @@ def knt_ordering_recursive(n: int, t: int,
     return out
 
 
-def knt_ordering(n: int, t: int, method: str = "matrix",
-                 size_cap: Optional[int] = None) -> list:
+def knt_ordering(n: int, t: int, method: str = "matrix") -> list:
     if method == "matrix":
-        return knt_ordering_matrix(n, t, size_cap)
+        return knt_ordering_matrix(n, t)
     if method == "recursive":
-        return knt_ordering_recursive(n, t, size_cap)
+        return knt_ordering_recursive(n, t)
     raise ParameterOutOfRangeError(f"unknown method {method!r}")
 
 
@@ -123,9 +117,8 @@ class FirstRowMatrix:
     rows: tuple
 
 
-def first_row_matrix(n: int, t: int,
-                     size_cap: Optional[int] = None) -> FirstRowMatrix:
-    _validate(n, t, size_cap)
+def first_row_matrix(n: int, t: int) -> FirstRowMatrix:
+    _validate(n, t)
     first = [0] * t
     rows = [tuple(first)]
     for k in range(2, n ** (t - 1) + 1):
@@ -180,13 +173,12 @@ class BlockClaimReport:
                 and self.sibling_blocks_distinct)
 
 
-def verify_block_claims(n: int, t: int,
-                        size_cap: Optional[int] = None) -> BlockClaimReport:
+def verify_block_claims(n: int, t: int) -> BlockClaimReport:
     """Scan every column block of the first-row matrix for its three
     structural properties: blocks are constant, adjacent blocks repeat
     exactly when n divides c+1, and the n sibling blocks sharing one parent
     block's rows are pairwise distinct."""
-    matrix = first_row_matrix(n, t, size_cap)
+    matrix = first_row_matrix(n, t)
     failures = []
     blocks = 0
     pairs = 0

@@ -253,9 +253,11 @@ def labeling_from_json(text: str) -> Labeling:
         raise InvalidParameterError('labeling JSON needs a "labels" list')
     labeling = Labeling(tuple(_json_ints(labels, "labels")))
     declared = data.get("span")
-    if declared is not None and declared != labeling.span:
-        raise InvalidParameterError(
-            f"declared span {declared} != max label {labeling.span}")
+    if declared is not None:
+        _json_ints([declared], '"span"')
+        if declared != labeling.span:
+            raise InvalidParameterError(
+                f"declared span {declared} != max label {labeling.span}")
     return labeling
 
 

@@ -8,13 +8,14 @@ results.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
 
-from .errors import TooLargeError
+from .errors import InvalidParameterError, TooLargeError
 from .graphs import Graph
 from .labeling import Labeling, induced_labeling, is_consecutive
 
@@ -188,8 +189,12 @@ def find_consecutive_ordering(graph: Graph,
     repeated runs return the identical witness.  Returns witness-found,
     exhausted-no-witness when the whole tree was explored, or timeout once
     the budget runs out.  Raises TooLargeError above the distance cache
-    limit, graphs.DISTANCE_CACHE_LIMIT vertices.
+    limit, graphs.DISTANCE_CACHE_LIMIT vertices, and InvalidParameterError
+    for a budget that is negative, infinite or NaN.
     """
+    if not 0 <= time_budget < math.inf:  # a NaN would never expire
+        raise InvalidParameterError(
+            f"time budget {time_budget} must be finite seconds >= 0")
     n = graph.vertex_count
     diam = graph.diameter()
     dist = graph.distance_matrix()

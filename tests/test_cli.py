@@ -229,6 +229,15 @@ def test_non_integer_json_numbers_rejected(capsys, tmp_path):
     assert err.startswith("error: ") and "integers" in err
 
 
+def test_bad_search_budget_is_an_error_line(capsys, tmp_path):
+    c4 = write(tmp_path, "c4.txt", "4 4\n0 1\n1 2\n2 3\n3 0\n")
+    for budget in ("nan", "inf", "-1"):
+        code, out, err = run(capsys, "search-consecutive", c4,
+                             "--budget", budget)
+        assert code == 1 and out == "", budget
+        assert err.startswith("error: time budget") and err.count("\n") == 1
+
+
 P3 = "3 2\n0 1\n1 2\n"
 
 
@@ -239,8 +248,9 @@ P3 = "3 2\n0 1\n1 2\n"
     ("induce", b'{"order": [0, 1', "malformed"),
     ("induce", b'{"order": [[], [], []]}', "coordinate tuples"),
     ("verify", b"\xff\xfe", "not UTF-8"),
+    ("verify", b'{"labels": [3, 1, 2], "span": 3.0}', '"span" must be'),
 ], ids=["labels-array", "order-array", "labels-truncated", "order-truncated",
-        "empty-coordinates", "labels-not-utf8"])
+        "empty-coordinates", "labels-not-utf8", "span-float"])
 def test_malformed_json_is_an_error_line(capsys, tmp_path, command, text,
                                          message):
     graph = write(tmp_path, "p3.txt", P3)

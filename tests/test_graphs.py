@@ -1,5 +1,6 @@
 import io
 import random
+import time
 import tracemalloc
 from collections import deque
 
@@ -191,24 +192,50 @@ def test_power_counts_and_diameter_formulas():
             assert max(map(max, all_pairs_distances(g))) == t * d
 
 
-def test_size_cap():
+def test_size_cap(monkeypatch):
     with pytest.raises(SizeLimitExceededError):
         cartesian_power(complete(10), 7)
+    monkeypatch.setenv("RADIOLABEL_SIZE_CAP", "63")
     with pytest.raises(SizeLimitExceededError):
-        cartesian_power(complete(4), 3, size_cap=63)
+        cartesian_power(complete(4), 3)
     with pytest.raises(SizeLimitExceededError):
-        cartesian_product(complete(8), complete(8), size_cap=63)
+        cartesian_product(complete(8), complete(8))
 
 
 def test_size_cap_from_environment(monkeypatch):
     monkeypatch.setenv("RADIOLABEL_SIZE_CAP", "63")
     with pytest.raises(SizeLimitExceededError):
         cartesian_power(complete(4), 3)
-    assert cartesian_power(complete(4), 3, size_cap=64).vertex_count == 64
+    monkeypatch.setenv("RADIOLABEL_SIZE_CAP", "64")
+    assert cartesian_power(complete(4), 3).vertex_count == 64
     for bad in ("abc", "0", "-5", "1.5"):
         monkeypatch.setenv("RADIOLABEL_SIZE_CAP", bad)
         with pytest.raises(InvalidParameterError):
             cartesian_power(complete(4), 3)
+
+
+def test_huge_power_is_refused_at_once(monkeypatch):
+    # the guard multiplies factor sizes and stops past the cap, instead of
+    # building the 4.8-million-digit 3^(10^7) first
+    monkeypatch.delenv("RADIOLABEL_SIZE_CAP", raising=False)
+    start = time.monotonic()
+    with pytest.raises(SizeLimitExceededError,
+                       match=r"^3\^10000000 vertices, above the cap of "
+                             r"1000000$"):
+        cartesian_power(complete(3), 10 ** 7)
+    assert time.monotonic() - start < 1.0
+
+
+def test_power_of_one_vertex_graph_is_that_graph():
+    k1 = complete(1)
+    tracemalloc.start()
+    try:
+        power = cartesian_power(k1, 10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert power is k1 and power.vertex_count == 1
+    assert peak < 1 << 20
 
 
 def test_big_flat_graph_refuses_distance_cache():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from radiolabel import (
@@ -126,15 +128,25 @@ def test_parameter_validation(monkeypatch):
         knt_ordering_matrix(3, 0)
     with pytest.raises(ParameterOutOfRangeError):
         knt_ordering(3, 2, method="sideways")
-    with pytest.raises(SizeLimitExceededError):
-        knt_ordering_matrix(5, 5, size_cap=100)
     # the constructions honour the same environment cap as cartesian_power
+    monkeypatch.setenv("RADIOLABEL_SIZE_CAP", "100")
+    with pytest.raises(SizeLimitExceededError):
+        knt_ordering_matrix(5, 5)
     monkeypatch.setenv("RADIOLABEL_SIZE_CAP", "5")
     for method in ("matrix", "recursive"):
         with pytest.raises(SizeLimitExceededError):
             knt_ordering(3, 2, method=method)
     with pytest.raises(SizeLimitExceededError):
         verify_block_claims(3, 2)
+
+
+def test_huge_ordering_is_refused_at_once(monkeypatch):
+    monkeypatch.delenv("RADIOLABEL_SIZE_CAP", raising=False)
+    start = time.monotonic()
+    with pytest.raises(SizeLimitExceededError,
+                       match=r"^1000000\^1000000 vertices, above the cap"):
+        knt_ordering(10 ** 6, 10 ** 6)
+    assert time.monotonic() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

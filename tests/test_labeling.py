@@ -316,13 +316,17 @@ def test_window_check_equals_consecutive_induced():
     for g in cases:
         for order in permutations(range(g.vertex_count)):
             window = check_consecutive_ordering(g, order)
-            assert window == is_consecutive(g, induced_labeling(g, order))
+            lab = induced_labeling(g, order)
+            assert window == is_consecutive(g, lab)
+            assert window == (lab.span == g.vertex_count)
     for g in (cube, petersen()):
         n = g.vertex_count
         for _ in range(200):
             order = tuple(rng.sample(range(n), n))
             window = check_consecutive_ordering(g, order)
-            assert window == is_consecutive(g, induced_labeling(g, order))
+            lab = induced_labeling(g, order)
+            assert window == is_consecutive(g, lab)
+            assert window == (lab.span == n)
 
 
 def test_consecutive_span_is_vertex_count():
@@ -391,8 +395,11 @@ def test_labeling_json_span_mismatch():
 def test_labeling_json_rejects_non_integers():
     for text in ('{"labels": [1.9, 3, 5, 2, 4]}',
                  '{"labels": [true, 3, 5, 2, 4]}',
-                 '{"labels": [1.0, 3, 5, 2, 4]}'):
-        with pytest.raises(InvalidParameterError):
+                 '{"labels": [1.0, 3, 5, 2, 4]}',
+                 '{"labels": [3, 1, 4], "span": 4.0}',
+                 '{"labels": [1], "span": true}',
+                 '{"labels": [3, 1, 4], "span": "4"}'):
+        with pytest.raises(InvalidParameterError, match="integers"):
             labeling_from_json(text)
 
 

@@ -7,6 +7,7 @@ from conftest import small_corpus, star
 from radiolabel import (
     EXACT,
     EXHAUSTED,
+    InvalidParameterError,
     TIMEOUT,
     TooLargeError,
     WITNESS_FOUND,
@@ -237,6 +238,13 @@ def test_zero_budget_times_out():
     result = find_consecutive_ordering(petersen(), time_budget=0.0)
     assert result.status == TIMEOUT
     assert result.ordering is None
+
+
+def test_budget_must_be_finite_and_non_negative():
+    # NaN would never reach the deadline; C_4 keeps a miss fast
+    for budget in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(InvalidParameterError, match="time budget"):
+            find_consecutive_ordering(cycle(4), time_budget=budget)
 
 
 def test_witnesses_verify_on_corpus():
