@@ -29,7 +29,15 @@ def threshold_s(n: int, diam: int) -> int:
     if not 1 <= diam <= n - 1:
         raise InvalidParameterError(
             f"diameter {diam} not in [1, {n - 1}] for n={n}")
-    return 1 + sum((n - i) * (i // diam) for i in range(diam, n))
+    # Block q of the sum holds the i with i // diam == q; its terms sum to
+    # q * sum(n - i).  Blocks 1..m are full (diam terms each); the last,
+    # q = m + 1, runs from (m + 1) * diam to n - 1, i.e. n - i = 1..tail.
+    m = (n - 1) // diam - 1
+    tail = n - (m + 1) * diam
+    sum_q = m * (m + 1) // 2
+    sum_q2 = sum_q * (2 * m + 1) // 3
+    full = (diam * n - diam * (diam - 1) // 2) * sum_q - diam * diam * sum_q2
+    return 1 + full + (m + 1) * tail * (tail + 1) // 2
 
 
 def threshold_s_complete(n: int) -> int:
@@ -93,11 +101,7 @@ def _classify(n: int, diam: int, s: int, t: int) -> str:
 def verdict(base: Graph, t: int) -> str:
     """Classify one power of a base graph, computing its diameter locally
     rather than trusting a caller-supplied value."""
-    n = base.vertex_count
-    diam = base.diameter()
-    if n < 2 or diam < 1:
-        raise InvalidParameterError("base graph must have at least one edge")
-    return _classify(n, diam, threshold_s(n, diam), t)
+    return threshold_report(base, (t,)).verdicts[0][1]
 
 
 def threshold_report(base: Graph, ts: Sequence[int]) -> ThresholdReport:

@@ -12,7 +12,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import bounds, graphs, knt, labeling as lb, search
-from .errors import RadioLabelError, TooLargeError
+from .errors import RadioLabelError
 
 TABLE = "table"
 JSON = "json"
@@ -81,8 +81,8 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_order_knt(args) -> int:
-    order = knt.knt_ordering(args.n, args.t, method=args.method)
-    payload = {"n": args.n, "t": args.t, "method": args.method}
+    order = knt.knt_ordering(args.n, args.t)
+    payload = {"n": args.n, "t": args.t}
     if args.flat:
         payload["order"] = knt.flat_indices(order, args.n)
     else:
@@ -140,14 +140,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_radio_number(args) -> int:
     graph = _read_graph(args.graph)
-    try:
-        result = search.exact_radio_number(
-            graph, limit=args.limit, prune=not args.no_prune,
-            symmetry_reduction=args.symmetry_reduction)
-    except TooLargeError as exc:
-        print(f"error: {exc}; try search-consecutive for a "
-              f"consecutive-labeling witness", file=sys.stderr)
-        return 1
+    result = search.exact_radio_number(
+        graph, limit=args.limit, prune=not args.no_prune,
+        symmetry_reduction=args.symmetry_reduction)
     _emit(_result_text(result, args.format), None)
     return 0
 
@@ -208,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="consecutive-labeling ordering of K_n^t")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--method", choices=("matrix", "recursive"),
-                   default="matrix")
     p.add_argument("--flat", action="store_true",
                    help="emit flat vertex indices instead of tuples")
     p.add_argument("--out")

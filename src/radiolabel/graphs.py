@@ -8,6 +8,7 @@ product adjacency) are idempotent, so a duplicated fill is harmless.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import os
 from collections import deque
@@ -34,7 +35,8 @@ DistanceMatrix = list  # list[list[int]], indexed [u][v]
 
 
 def encode_coordinates(coords: Sequence[int], sizes: Sequence[int]) -> int:
-    """Flat index of a coordinate tuple, last coordinate fastest-varying."""
+    """Flat index of a coordinate tuple, last coordinate fastest-varying:
+    the number a product with factor sizes ``sizes`` gives that vertex."""
     if len(coords) != len(sizes):
         raise ArityMismatchError(
             f"{len(coords)} coordinates for {len(sizes)} factors")
@@ -64,7 +66,7 @@ class Graph:
     their adjacency is materialized lazily on first access.
     """
 
-    __slots__ = ("_n", "_adjacency", "_factors", "_sizes", "_places", "_dist")
+    __slots__ = ("_n", "_adjacency", "_factors", "_sizes", "_dist")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple]):
         adjacency = _adjacency_from_edges(vertex_count, edges)
@@ -73,24 +75,15 @@ class Graph:
         self._adjacency: Optional[tuple] = adjacency
         self._factors: Optional[tuple] = None
         self._sizes: Optional[tuple] = None
-        self._places: Optional[tuple] = None
         self._dist: Optional[DistanceMatrix] = None
 
     @classmethod
     def _product(cls, factors: Sequence["Graph"]) -> "Graph":
         g = cls.__new__(cls)
-        sizes = tuple(f.vertex_count for f in factors)
-        n = 1
-        for s in sizes:
-            n *= s
-        places = [1] * len(sizes)
-        for k in range(len(sizes) - 2, -1, -1):
-            places[k] = places[k + 1] * sizes[k + 1]
-        g._n = n
+        g._sizes = tuple(f.vertex_count for f in factors)
+        g._n = math.prod(g._sizes)  # the callers' _check_size bounded it
         g._adjacency = None
         g._factors = tuple(factors)
-        g._sizes = sizes
-        g._places = tuple(places)
         g._dist = None
         return g
 
@@ -105,6 +98,8 @@ class Graph:
 
     @property
     def factor_sizes(self) -> Optional[tuple]:
+        """Factor vertex counts when built as a product, else None; vertex
+        v has coordinates decode_index(v, factor_sizes)."""
         return self._sizes
 
     @property
@@ -129,27 +124,14 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def coordinates_of(self, v: int) -> tuple:
-        if self._sizes is None:
-            raise InvalidParameterError("graph was not built as a product")
-        return decode_index(v, self._sizes)
-
-    def index_of(self, coords: Sequence[int]) -> int:
-        if self._sizes is None:
-            raise InvalidParameterError("graph was not built as a product")
-        return encode_coordinates(coords, self._sizes)
-
     def distance(self, u: int, v: int) -> int:
         """Hop distance; coordinatewise sum for products, else cached BFS."""
         if not (0 <= u < self._n and 0 <= v < self._n):
             raise IndexOutOfRangeError(f"vertex pair ({u}, {v}) out of range")
         if self._factors is not None:
-            total = 0
-            for f, place in zip(self._factors, self._places):
-                cu, u = divmod(u, place)
-                cv, v = divmod(v, place)
-                total += f.distance(cu, cv)
-            return total
+            return sum(map(Graph.distance, self._factors,
+                           decode_index(u, self._sizes),
+                           decode_index(v, self._sizes)))
         # inline cache read: every product distance makes one per factor
         if self._dist is None:
             self.distance_matrix()
@@ -203,16 +185,18 @@ class Graph:
         return self._n == 1 or self.diameter() == 1
 
     def _materialize_product_adjacency(self) -> tuple:
-        assert self._factors is not None
-        factor_adj = [f.adjacency for f in self._factors]
-        adjacency = [[] for _ in range(self._n)]
-        for v in range(self._n):
-            coords = decode_index(v, self._sizes)
-            for k, place in enumerate(self._places):
-                base = v - coords[k] * place
-                for w in factor_adj[k][coords[k]]:
-                    adjacency[v].append(base + w * place)
-        return tuple(frozenset(nbrs) for nbrs in adjacency)
+        # folding the factors left to right, numbering (g, h) as g|H| + h,
+        # gives each vertex the index encode_coordinates gives its tuple
+        adjacency = self._factors[0].adjacency
+        for f in self._factors[1:]:
+            h_adj = f.adjacency
+            nh = len(h_adj)
+            adjacency = tuple(
+                frozenset([x * nh + h for x in g_nbrs]
+                          + [g * nh + y for y in h_nbrs])
+                for g, g_nbrs in enumerate(adjacency)
+                for h, h_nbrs in enumerate(h_adj))
+        return adjacency
 
     def __repr__(self) -> str:
         if self._factors is not None and self._adjacency is None:
@@ -283,25 +267,29 @@ def all_pairs_distances(graph: Graph) -> DistanceMatrix:
     return [bfs_distances(graph, s) for s in range(graph.vertex_count)]
 
 
-def _check_size(sizes: Iterable[int], what: str) -> None:
-    """Refuse a construction of more vertices than RADIOLABEL_SIZE_CAP
-    (default DEFAULT_SIZE_CAP) allows.
+def _bounded_product(sizes: Iterable[int], bound: int) -> Optional[int]:
+    """Product of ``sizes``, or None once a partial product exceeds
+    ``bound``: the sizes are multiplied one at a time and the loop stops
+    there, so a huge product such as n^t is never computed."""
+    count = 1
+    for size in sizes:
+        count *= size
+        if count > bound:
+            return None
+    return count
 
-    Multiplies the factor sizes one at a time and stops at the first
-    partial product over the cap, so a huge n^t is never computed;
-    ``what`` names the size in the error.
-    """
+
+def _check_size(sizes: Iterable[int], what: str) -> None:
+    """Refuse a construction whose size, the product of ``sizes``, is
+    more than RADIOLABEL_SIZE_CAP (default DEFAULT_SIZE_CAP) allows;
+    ``what`` names the size in the error."""
     env = os.environ.get(SIZE_CAP_ENV)
     if env and (not env.isdecimal() or int(env) < 1):
         raise InvalidParameterError(
             f"{SIZE_CAP_ENV}={env!r} is not a positive integer")
     cap = int(env) if env else DEFAULT_SIZE_CAP
-    count = 1
-    for size in sizes:
-        count *= size
-        if count > cap:
-            raise SizeLimitExceededError(
-                f"{what} vertices, above the cap of {cap}")
+    if _bounded_product(sizes, cap) is None:
+        raise SizeLimitExceededError(f"{what}, above the cap of {cap}")
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -309,7 +297,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     adjacent in the other.  Factor lists flatten, so products of products
     keep coordinatewise distances exact."""
     _check_size((g.vertex_count, h.vertex_count),
-                f"product has {g.vertex_count * h.vertex_count}")
+                f"product has {g.vertex_count * h.vertex_count} vertices")
     return Graph._product((g.factors or (g,)) + (h.factors or (h,)))
 
 
@@ -321,7 +309,8 @@ def cartesian_power(g: Graph, t: int) -> Graph:
     n = g.vertex_count
     trivial = t == 1 or n == 1
     # the size is never formatted: n^t can pass the digit limit of str(int)
-    _check_size(() if trivial else itertools.repeat(n, t), f"{n}^{t}")
+    _check_size(() if trivial else itertools.repeat(n, t),
+                f"{n}^{t} vertices")
     if trivial:
         return g
     return Graph._product((g.factors or (g,)) * t)
@@ -332,20 +321,25 @@ def cartesian_power(g: Graph, t: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 def complete(n: int) -> Graph:
+    """K_n; the size cap bounds its n(n - 1) adjacency entries, which is
+    what it allocates, not its n vertices."""
     if n < 1:
         raise InvalidParameterError("complete graph needs n >= 1")
+    _check_size((n, n - 1), f"K_{n} has {n * (n - 1)} adjacency entries")
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise InvalidParameterError("path graph needs n >= 1")
+    _check_size((n,), f"P_{n} has {n} vertices")
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise InvalidParameterError("cycle graph needs n >= 3")
+    _check_size((n,), f"C_{n} has {n} vertices")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 

@@ -34,7 +34,7 @@ def _validate(n: int, t: int) -> None:
     if not 1 <= t <= n:
         raise ParameterOutOfRangeError(
             f"power t={t} must satisfy 1 <= t <= n={n}")
-    _check_size(itertools.repeat(n, t), f"{n}^{t}")
+    _check_size(itertools.repeat(n, t), f"{n}^{t} vertices")
 
 
 def _shift_column(k: int, n: int, t: int) -> int:
@@ -78,12 +78,9 @@ def knt_ordering_recursive(n: int, t: int) -> list:
     return out
 
 
-def knt_ordering(n: int, t: int, method: str = "matrix") -> list:
-    if method == "matrix":
-        return knt_ordering_matrix(n, t)
-    if method == "recursive":
-        return knt_ordering_recursive(n, t)
-    raise ParameterOutOfRangeError(f"unknown method {method!r}")
+def knt_ordering(n: int, t: int) -> list:
+    """The consecutive-labeling ordering of K_n^t, as coordinate tuples."""
+    return knt_ordering_matrix(n, t)
 
 
 def flat_indices(order: Sequence[tuple], n: int) -> list:

@@ -22,7 +22,7 @@ from .errors import (
     KOutOfRangeError,
 )
 from . import graphs
-from .graphs import Graph, encode_coordinates
+from .graphs import Graph, _bounded_product, encode_coordinates
 
 
 @dataclass(frozen=True)
@@ -228,11 +228,12 @@ def ordering_from_json(text: str, graph: Optional[Graph] = None) -> tuple:
             _json_ints(entry, "coordinates")
         base = data.get("n", max(map(max, raw)) + 1)
         _json_ints([base], '"n"')
-        if graph is not None and base ** width != graph.vertex_count:
-            raise InvalidParameterError(
-                f"{base}^{width} coordinates do not index "
-                f"{graph.vertex_count} vertices")
         sizes = (base,) * width
+        if graph is not None:
+            n = graph.vertex_count
+            if _bounded_product(sizes, n) != n:
+                raise InvalidParameterError(
+                    f"{base}^{width} coordinates do not index {n} vertices")
         return tuple(encode_coordinates(entry, sizes) for entry in raw)
     return tuple(_json_ints(raw, "flat indices"))
 

@@ -112,7 +112,8 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
     n = graph.vertex_count
     if n > limit:
         raise TooLargeError(
-            f"{n} vertices exceeds the exhaustive limit of {limit}")
+            f"{n} vertices exceeds the exhaustive limit of {limit}; try "
+            f"search-consecutive for a consecutive-labeling witness")
     starts = (_first_vertex_representatives(graph) if symmetry_reduction
               else range(n))
     if not prune:

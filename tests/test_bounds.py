@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from radiolabel import (
@@ -36,6 +38,19 @@ def test_closed_form_examples():
 def test_closed_form_matches_summation():
     for n in range(2, 51):
         assert threshold_s(n, 1) == threshold_s_complete(n)
+
+
+def test_threshold_matches_the_summation_loop():
+    for n in range(2, 61):
+        for diam in range(1, n):
+            loop = 1 + sum((n - i) * (i // diam) for i in range(diam, n))
+            assert threshold_s(n, diam) == loop, (n, diam)
+
+
+def test_threshold_of_a_large_base_is_immediate():
+    start = time.monotonic()
+    assert threshold_s(10 ** 7, 1) == threshold_s_complete(10 ** 7)
+    assert time.monotonic() - start < 0.1
 
 
 def test_threshold_validation():

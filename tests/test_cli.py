@@ -55,13 +55,6 @@ def test_order_knt_shapes(capsys):
     assert data["order"] == [0, 4, 8, 1, 5, 6, 2, 3, 7]
 
 
-def test_order_knt_methods_agree(capsys):
-    _, a, _ = run(capsys, "order-knt", "--n", "4", "--t", "3")
-    _, b, _ = run(capsys, "order-knt", "--n", "4", "--t", "3",
-                  "--method", "recursive")
-    assert json.loads(a)["order"] == json.loads(b)["order"]
-
-
 def test_induce_verify_pipeline(capsys, tmp_path):
     k3 = write(tmp_path, "k3.txt", "3 3\n0 1\n0 2\n1 2\n")
     code, power_out, _ = run(capsys, "power", k3, "--t", "2")
@@ -207,7 +200,8 @@ def test_bad_size_cap_is_an_error_line(capsys, monkeypatch, tmp_path):
     for bad in ("abc", "0", "-5", "1.5"):
         monkeypatch.setenv("RADIOLABEL_SIZE_CAP", bad)
         for argv in (("order-knt", "--n", "3", "--t", "2"),
-                     ("power", k3, "--t", "2")):
+                     ("power", k3, "--t", "2"),
+                     ("builtin", "complete", "--n", "3")):
             code, out, err = run(capsys, *argv)
             assert code == 1 and out == "", (bad, argv)
             assert err.startswith("error: ") and err.count("\n") == 1

@@ -286,17 +286,50 @@ def test_flat_encoding_round_trip():
         sizes = g.factor_sizes
         assert sizes == (base.vertex_count,) * t
         for v in range(g.vertex_count):
-            coords = g.coordinates_of(v)
+            coords = decode_index(v, sizes)
+            assert len(coords) == t
+            assert all(0 <= c < base.vertex_count for c in coords)
             assert encode_coordinates(coords, sizes) == v
-            assert decode_index(v, sizes) == coords
-            assert g.index_of(coords) == v
 
 
 def test_last_coordinate_varies_fastest():
-    g = cartesian_power(complete(3), 2)
-    assert g.coordinates_of(0) == (0, 0)
-    assert g.coordinates_of(1) == (0, 1)
-    assert g.coordinates_of(3) == (1, 0)
+    sizes = cartesian_power(complete(3), 2).factor_sizes
+    assert decode_index(0, sizes) == (0, 0)
+    assert decode_index(1, sizes) == (0, 1)
+    assert decode_index(3, sizes) == (1, 0)
+    assert encode_coordinates((1, 2), sizes) == 5
+
+
+def test_product_adjacency_follows_the_coordinate_codec():
+    # u ~ v exactly when their decoded coordinates differ in one position
+    # k and are adjacent in factor k: the definition of the Cartesian
+    # product, checked against the adjacency built by folding the factors
+    for name, g in kernel_corpus():
+        if g.factors is None:
+            continue
+        sizes = g.factor_sizes
+        coords = [decode_index(v, sizes) for v in range(g.vertex_count)]
+        for u in range(g.vertex_count):
+            expected = set()
+            for v in range(g.vertex_count):
+                differ = [k for k, (a, b)
+                          in enumerate(zip(coords[u], coords[v])) if a != b]
+                if len(differ) == 1:
+                    k = differ[0]
+                    if coords[v][k] in g.factors[k].adjacency[coords[u][k]]:
+                        expected.add(v)
+            assert g.adjacency[u] == expected, (name, u)
+
+
+def test_named_builders_honour_the_size_cap(monkeypatch):
+    monkeypatch.setenv("RADIOLABEL_SIZE_CAP", "100")
+    assert path(100).vertex_count == 100
+    assert cycle(100).vertex_count == 100
+    assert complete(10).vertex_count == 10  # 90 adjacency entries
+    for build, n in ((path, 101), (cycle, 101), (complete, 11)):
+        with pytest.raises(SizeLimitExceededError,
+                           match=r", above the cap of 100$"):
+            build(n)
 
 
 def test_product_of_products_flattens():

@@ -126,16 +126,14 @@ def test_parameter_validation(monkeypatch):
         knt_ordering_matrix(3, 4)
     with pytest.raises(ParameterOutOfRangeError):
         knt_ordering_matrix(3, 0)
-    with pytest.raises(ParameterOutOfRangeError):
-        knt_ordering(3, 2, method="sideways")
     # the constructions honour the same environment cap as cartesian_power
     monkeypatch.setenv("RADIOLABEL_SIZE_CAP", "100")
     with pytest.raises(SizeLimitExceededError):
         knt_ordering_matrix(5, 5)
     monkeypatch.setenv("RADIOLABEL_SIZE_CAP", "5")
-    for method in ("matrix", "recursive"):
+    for construction in (knt_ordering_matrix, knt_ordering_recursive):
         with pytest.raises(SizeLimitExceededError):
-            knt_ordering(3, 2, method=method)
+            construction(3, 2)
     with pytest.raises(SizeLimitExceededError):
         verify_block_claims(3, 2)
 

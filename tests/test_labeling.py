@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -366,6 +367,22 @@ def test_ordering_json_bad_inputs():
         ordering_from_json('{"n": 2, "order": [[0, 1], [1, 0]]}', g)
     with pytest.raises(IndexOutOfRangeError):
         ordering_from_json('{"n": 2, "order": [[0, 1], [1, 2]]}')
+
+
+def test_ordering_json_huge_base_is_refused_at_once():
+    # the base^width check multiplies one factor at a time and stops past
+    # the vertex count, instead of building the 1.2-million-digit power
+    text = json.dumps({"order": [[0] * 4000], "n": 10 ** 300})
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError,
+                           match=r"\^4000 coordinates do not index 3 "
+                                 r"vertices$"):
+            ordering_from_json(text, path(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 << 10
 
 
 def test_ordering_json_rejects_non_integers():
