@@ -27,8 +27,9 @@ from .errors import (
 DEFAULT_SIZE_CAP = 1_000_000
 SIZE_CAP_ENV = "RADIOLABEL_SIZE_CAP"
 
-# largest graph whose full distance matrix is cached implicitly; products
-# built as products never need it, their distances sum per coordinate
+# largest graph whose full distance matrix is cached implicitly; products,
+# whether built by cartesian_product/cartesian_power or recognised by
+# parse_edge_list, never need it: their distances sum per coordinate
 DISTANCE_CACHE_LIMIT = 4096
 
 DistanceMatrix = list  # list[list[int]], indexed [u][v]
@@ -81,7 +82,8 @@ class Graph:
     def _product(cls, factors: Sequence["Graph"]) -> "Graph":
         g = cls.__new__(cls)
         g._sizes = tuple(f.vertex_count for f in factors)
-        g._n = math.prod(g._sizes)  # the callers' _check_size bounded it
+        # bounded by the callers: _check_size, or a parsed graph's own size
+        g._n = math.prod(g._sizes)
         g._adjacency = None
         g._factors = tuple(factors)
         g._dist = None
@@ -146,8 +148,10 @@ class Graph:
             if self._n > DISTANCE_CACHE_LIMIT:
                 raise TooLargeError(
                     f"all-pairs distances for {self._n} vertices exceed the "
-                    f"{DISTANCE_CACHE_LIMIT}-vertex cache; cartesian_power "
-                    f"products sum distances per coordinate without it")
+                    f"{DISTANCE_CACHE_LIMIT}-vertex cache; products sum "
+                    f"distances per coordinate without it, whether built by "
+                    f"cartesian_power or read from an edge list in the "
+                    f"vertex numbering it gives them")
             self._dist = all_pairs_distances(self)
         return self._dist
 
@@ -365,7 +369,14 @@ BUILDERS = {
 
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text.  A token that is not an integer, or an edge
-    listed twice in either orientation, is an error naming its line."""
+    listed twice in either orientation, is an error naming its line.
+
+    A graph whose edges are exactly those of a Cartesian power F^t
+    (t >= 2) of its subgraph F on the first vertices, in the numbering
+    cartesian_power gives it, comes back as that product, so its
+    distances sum per coordinate; any other graph, such as a relabelled
+    power, comes back flat.  The edges are the same either way.
+    """
     rows = []
     for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -400,7 +411,37 @@ def parse_edge_list(text: str) -> Graph:
                 raise InvalidParameterError(
                     f"line {number}: duplicate edge {u} {v}")
             seen.add((u, v))
-    return graph
+    return _recognise_power(graph.adjacency, m) or graph
+
+
+def _recognise_power(adjacency: tuple, edge_count: int) -> Optional[Graph]:
+    """The graph with this adjacency as a product F^t, t >= 2, where F is
+    its subgraph on vertices 0..m-1, if F^t has exactly this adjacency;
+    else None.  An equal edge set is the same graph, so no distance can
+    change.  The largest t is tried first, so a K_n^t file gets complete
+    factors.  The product is built without _check_size: the graph is
+    already in memory, and a file that parses must not fail under a
+    small RADIOLABEL_SIZE_CAP.  Recognising a relabelled product needs
+    the linear-time factorisation of Imrich and Peterin ("Recognizing
+    Cartesian products in linear time", Discrete Math. 307, 2007)."""
+    n = len(adjacency)
+    for t in range(n.bit_length() - 1, 1, -1):
+        m = round(n ** (1 / t))
+        if m ** t != n:
+            continue
+        factor_edges = [(u, v) for u in range(m) for v in adjacency[u]
+                        if u < v < m]
+        if edge_count != t * m ** (t - 1) * len(factor_edges):
+            continue
+        try:
+            factor = Graph(m, factor_edges)
+        except DisconnectedError:  # then F^t is disconnected too
+            continue
+        power = Graph._product((factor,) * t)
+        if power.adjacency == adjacency:
+            power._adjacency = adjacency  # keep one copy, the parsed one
+            return power
+    return None
 
 
 def format_edge_list(graph: Graph) -> str:

@@ -212,7 +212,8 @@ def ordering_from_json(text: str, graph: Optional[Graph] = None) -> tuple:
     """Parse {"order": [...]} holding flat indices or coordinate tuples.
 
     Coordinate tuples are flattened mixed-radix over a uniform base, which
-    is validated against the graph size when a graph is supplied.
+    is validated against the graph size when a graph is supplied, and
+    against RADIOLABEL_SIZE_CAP, like a built power, when none is.
     """
     data = _json_object(text, "ordering")
     raw = data.get("order")
@@ -229,7 +230,9 @@ def ordering_from_json(text: str, graph: Optional[Graph] = None) -> tuple:
         base = data.get("n", max(map(max, raw)) + 1)
         _json_ints([base], '"n"')
         sizes = (base,) * width
-        if graph is not None:
+        if graph is None:
+            graphs._check_size(sizes, f"{base}^{width} coordinates")
+        else:
             n = graph.vertex_count
             if _bounded_product(sizes, n) != n:
                 raise InvalidParameterError(

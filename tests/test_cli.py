@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -273,3 +274,32 @@ def test_malformed_edge_list_is_an_error_line(capsys, tmp_path, text,
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_knt_pipeline_past_the_distance_cache(capsys, tmp_path):
+    # K_6^5 has 7776 vertices, above the 4096-vertex BFS cache; the file
+    # power writes reads back as the product, so induce and verify run
+    k6 = str(tmp_path / "k6.txt")
+    power = str(tmp_path / "k6p5.txt")
+    order = str(tmp_path / "order.json")
+    labels = str(tmp_path / "labels.json")
+    for argv in (("builtin", "complete", "--n", "6", "--out", k6),
+                 ("power", k6, "--t", "5", "--out", power),
+                 ("order-knt", "--n", "6", "--t", "5", "--flat",
+                  "--out", order),
+                 ("induce", power, order, "--out", labels)):
+        code, _out, err = run(capsys, *argv)
+        assert code == 0 and err == "", argv
+    code, out, err = run(capsys, "verify", power, labels)
+    assert (code, out, err) == (0, "valid for k=5, span 7776\n", "")
+    # the same graph under a relabelling stays flat and is refused
+    text = (tmp_path / "k6p5.txt").read_text().splitlines()
+    perm = list(range(7776))
+    random.Random(5).shuffle(perm)
+    shuffled = [text[0]] + [" ".join(str(perm[int(x)]) for x in line.split())
+                            for line in text[1:]]
+    relabelled = write(tmp_path, "shuffled.txt", "\n".join(shuffled) + "\n")
+    code, out, err = run(capsys, "verify", relabelled, labels)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "4096-vertex cache" in err

@@ -1,11 +1,12 @@
 import io
+import itertools
 import random
 import time
 import tracemalloc
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import kernel_corpus, random_connected, small_corpus
 from radiolabel import (
@@ -238,24 +239,42 @@ def test_power_of_one_vertex_graph_is_that_graph():
     assert peak < 1 << 20
 
 
+def relabelled(graph, seed: int):
+    """The graph with its vertices renumbered by a seeded permutation, and
+    that permutation: an edge list of it is read back flat."""
+    perm = list(range(graph.vertex_count))
+    random.Random(seed).shuffle(perm)
+    return build_graph(graph.vertex_count,
+                       [(perm[u], perm[v]) for u, v in graph.edges()]), perm
+
+
 def test_big_flat_graph_refuses_distance_cache():
-    # a large product re-read from an edge list loses its factor structure;
-    # distance queries must fail with advice rather than build an n^2 cache
+    # a large product re-read from a relabelled edge list loses its factor
+    # structure; distance queries must fail with advice rather than build
+    # an n^2 cache
     from radiolabel import TooLargeError, parse_edge_list
     big = cartesian_power(complete(6), 6)
     assert big.distance(0, 7) >= 1  # factor-backed: fine
-    flat = parse_edge_list(format_edge_list(cartesian_power(complete(3), 2)))
-    assert flat.distance(0, 4) == 2  # small flat graph: fine
+    small, perm = relabelled(cartesian_power(complete(3), 2), 3)
+    flat = parse_edge_list(format_edge_list(small))
+    assert flat.factors is None
+    assert flat.distance(perm[0], perm[4]) == 2  # small flat graph: fine
     assert flat.distance_matrix() is flat.distance_matrix()
     assert flat.distance_matrix() == all_pairs_distances(flat)
     grid = cartesian_power(cycle(80), 2)  # 6400 > cache limit
-    flat_big = parse_edge_list(format_edge_list(grid))
+    flat_big = parse_edge_list(format_edge_list(relabelled(grid, 80)[0]))
+    assert flat_big.factors is None and flat_big.vertex_count == 6400
     with pytest.raises(TooLargeError):
         flat_big.distance(0, 1)
     with pytest.raises(TooLargeError):
         flat_big.distance_matrix()
     with pytest.raises(TooLargeError):
         flat_big._distance_function()
+    # in the numbering cartesian_power gives it, the file reads back as
+    # the product, with no cache
+    grid_again = parse_edge_list(format_edge_list(grid))
+    assert grid_again.factor_sizes == (80, 80)
+    assert grid_again.distance(0, 1) == 1
 
 
 def test_power_rejects_bad_t():
@@ -456,3 +475,142 @@ def test_edge_list_io_objects():
     write_edge_list(g, buf)
     buf.seek(0)
     assert read_edge_list(buf).edges() == g.edges()
+
+
+# ---------------------------------------------------------------------------
+# recognising Cartesian powers in parsed edge lists
+# ---------------------------------------------------------------------------
+
+def power_edges(factor_edges, m: int, t: int) -> set:
+    """Edges of F^t over flat indices, from the definition: two tuples in
+    flat-index order are adjacent iff they differ in one coordinate, where
+    F joins the two values."""
+    adjacent = {(u, v) for u, v in factor_edges} | {
+        (v, u) for u, v in factor_edges}
+    tuples = list(itertools.product(range(m), repeat=t))
+    index = {coords: i for i, coords in enumerate(tuples)}
+    edges = set()
+    for coords in tuples:
+        for k, c in enumerate(coords):
+            for d in range(c + 1, m):
+                if (c, d) in adjacent:
+                    other = coords[:k] + (d,) + coords[k + 1:]
+                    edges.add((index[coords], index[other]))
+    return edges
+
+
+def is_power_of_prefix(n: int, edges: set) -> bool:
+    """Whether the edge set is F^t, t >= 2, for F its subgraph on the
+    first m vertices: the recognition rule, restated by brute force."""
+    for t in range(2, n.bit_length()):
+        for m in range(2, n + 1):
+            if m ** t == n:
+                prefix = [(u, v) for u, v in edges if v < m]
+                if power_edges(prefix, m, t) == edges:
+                    return True
+    return False
+
+
+def test_recognised_powers_keep_every_distance():
+    for name, g in kernel_corpus():
+        again = parse_edge_list(format_edge_list(g))
+        assert again.edges() == g.edges(), name
+        n = again.vertex_count
+        dist = again._distance_function()
+        bfs = all_pairs_distances(again)
+        assert all(dist(u, v) == bfs[u][v]
+                   for u in range(n) for v in range(n)), name
+        # the powers come back as products; products of distinct factors
+        # have no prefix subgraph to be a power of, and stay flat
+        expected = {"K4^3": (4, 4, 4), "petersen^2": (10, 10)}.get(name)
+        assert again.factor_sizes == expected, name
+
+
+def test_recognition_prefers_complete_factors():
+    # K_4^4 is also (K_4^2)^2; the finer factorisation keeps the
+    # Hamming-distance kernel
+    g = parse_edge_list(format_edge_list(cartesian_power(complete(4), 4)))
+    assert g.factor_sizes == (4, 4, 4, 4)
+    assert all(f.is_complete() for f in g.factors)
+
+
+def test_recognised_power_shares_the_parsed_adjacency():
+    g = parse_edge_list(format_edge_list(cartesian_power(path(3), 3)))
+    assert g.factor_sizes == (3, 3, 3)
+    assert g.edges() == cartesian_power(path(3), 3).edges()
+    # the repr counts edges only when the adjacency is already held
+    assert g.diameter() == 6 and repr(g) == "Graph(vertices=27, edges=54)"
+
+
+def test_recognition_ignores_the_size_cap(monkeypatch):
+    text = format_edge_list(cartesian_power(complete(4), 2))
+    monkeypatch.setenv("RADIOLABEL_SIZE_CAP", "10")
+    g = parse_edge_list(text)
+    assert g.edges() == parse_edge_list(text).edges()
+    assert g.vertex_count == 16 and g.edge_count == 48
+    assert g.factor_sizes == (4, 4)
+
+
+def test_recognition_falls_back_to_a_flat_graph():
+    # 9 vertices whose first three have no edge among them
+    nine = [(0, 3), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8)]
+    # 16 vertices, 24 edges: the count of F^2 for F = K_3 plus a lone
+    # vertex on 0..3, which is disconnected
+    sixteen = ([(0, 1), (0, 2), (1, 2), (0, 4)]
+               + [(v, v + 1) for v in range(3, 15)]
+               + [(4, 6), (4, 7), (5, 8), (6, 9), (7, 10), (8, 11),
+                  (9, 12), (10, 13)])
+    assert len(sixteen) == 24
+    for n, edges in ((9, nine), (16, sixteen), (9, path(9).edges()),
+                     (9, cycle(9).edges())):
+        g = parse_edge_list(counted_edge_list(n, edges))
+        assert g.factors is None, n
+        assert g.edges() == sorted((min(e), max(e)) for e in edges), n
+
+
+def test_duplicate_edge_is_reported_before_recognition():
+    # C_4 is K_2^2; the repeat is still named by its line
+    with pytest.raises(InvalidParameterError, match="line 6: duplicate edge"):
+        parse_edge_list("4 5\n0 1\n0 2\n1 3\n2 3\n1 0\n")
+
+
+POWER_BASES = st.sampled_from(
+    [complete(2), complete(3), path(3), cycle(4), path(4)])
+
+
+@st.composite
+def altered_powers(draw):
+    """A small power F^t, relabelled or with one edge moved so that it
+    stays connected, as (vertex count, edges)."""
+    base = draw(POWER_BASES)
+    t = draw(st.integers(2, 3))
+    g = cartesian_power(base, t)
+    n = g.vertex_count
+    edges = g.edges()
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        return n, [(perm[u], perm[v]) for u, v in edges]
+    edges.pop(draw(st.integers(0, len(edges) - 1)))
+    absent = sorted(set(itertools.combinations(range(n), 2)) - set(edges))
+    edges.append(draw(st.sampled_from(absent)))
+    try:
+        build_graph(n, edges)
+    except DisconnectedError:
+        assume(False)
+    return n, edges
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(altered_powers())
+def test_only_exact_powers_are_recognised(case):
+    n, edges = case
+    g = parse_edge_list(counted_edge_list(n, edges))
+    wanted = {(min(e), max(e)) for e in edges}
+    assert set(g.edges()) == wanted
+    if g.factors is None:
+        assert not is_power_of_prefix(n, wanted)
+    else:
+        sizes = g.factor_sizes
+        factor = g.factors[0]
+        assert all(f is factor for f in g.factors)
+        assert power_edges(factor.edges(), sizes[0], len(sizes)) == wanted

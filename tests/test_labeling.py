@@ -1,5 +1,6 @@
 import json
 import random
+import time
 import tracemalloc
 from itertools import permutations
 
@@ -14,6 +15,7 @@ from radiolabel import (
     KOutOfRangeError,
     Labeling,
     RadioLabelError,
+    SizeLimitExceededError,
     Violation,
     all_pairs_distances,
     build_graph,
@@ -383,6 +385,17 @@ def test_ordering_json_huge_base_is_refused_at_once():
     finally:
         tracemalloc.stop()
     assert peak < 256 << 10
+
+
+def test_ordering_json_huge_base_without_a_graph_is_refused_at_once():
+    # with no graph to compare against, the size guard bounds base^width
+    # before any tuple is encoded over the base
+    text = json.dumps({"order": [[1] * 2000], "n": 10 ** 300})
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitExceededError,
+                       match=r"\^2000 coordinates, above the cap"):
+        ordering_from_json(text)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_ordering_json_rejects_non_integers():
