@@ -40,18 +40,16 @@ def _format_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _result_text(result: search.SearchResult, fmt: str) -> str:
+    fields = result.to_dict()
     if fmt == JSON:
-        return json.dumps(result.to_dict(), indent=2) + "\n"
-    rows = [("status", result.status),
-            ("span", result.span),
-            ("ordering", " ".join(map(str, result.ordering))
-             if result.ordering else None),
-            ("labels", " ".join(map(str, result.labeling.labels))
-             if result.labeling else None),
-            ("orderings_examined", result.orderings_examined)]
-    width = max(len(k) for k, _ in rows)
-    return "".join(f"{k:<{width}}  {'-' if v is None else v}\n"
-                   for k, v in rows)
+        return json.dumps(fields, indent=2) + "\n"
+    width = max(map(len, fields))
+    lines = []
+    for key, value in fields.items():
+        if isinstance(value, list):
+            value = " ".join(map(str, value))
+        lines.append(f"{key:<{width}}  {'-' if value is None else value}\n")
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------

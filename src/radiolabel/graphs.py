@@ -70,13 +70,17 @@ class Graph:
     __slots__ = ("_n", "_adjacency", "_factors", "_sizes", "_dist")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple]):
-        adjacency = _adjacency_from_edges(vertex_count, edges)
-        _require_connected(adjacency)
         self._n = vertex_count
-        self._adjacency: Optional[tuple] = adjacency
+        self._adjacency: Optional[tuple] = _adjacency_from_edges(
+            vertex_count, edges)
         self._factors: Optional[tuple] = None
         self._sizes: Optional[tuple] = None
         self._dist: Optional[DistanceMatrix] = None
+        unreached = bfs_distances(self, 0).count(-1)
+        if unreached:
+            raise DisconnectedError(
+                f"graph is disconnected ({vertex_count - unreached} of "
+                f"{vertex_count} vertices reachable)")
 
     @classmethod
     def _product(cls, factors: Sequence["Graph"]) -> "Graph":
@@ -223,24 +227,6 @@ def _adjacency_from_edges(vertex_count: int, edges: Iterable[tuple]) -> tuple:
     return tuple(frozenset(nbrs) for nbrs in adjacency)
 
 
-def _require_connected(adjacency: Sequence[frozenset]) -> None:
-    n = len(adjacency)
-    seen = bytearray(n)
-    seen[0] = 1
-    queue = deque([0])
-    reached = 1
-    while queue:
-        u = queue.popleft()
-        for w in adjacency[u]:
-            if not seen[w]:
-                seen[w] = 1
-                reached += 1
-                queue.append(w)
-    if reached != n:
-        raise DisconnectedError(
-            f"graph is disconnected ({reached} of {n} vertices reachable)")
-
-
 def build_graph(vertex_count: int, edges: Iterable[tuple]) -> Graph:
     """Build a simple connected graph from an edge list."""
     return Graph(vertex_count, edges)
@@ -377,15 +363,8 @@ def parse_edge_list(text: str) -> Graph:
     distances sum per coordinate; any other graph, such as a relabelled
     power, comes back flat.  The edges are the same either way.
     """
-    rows = []
-    for number, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((number, line))
-    if not rows:
-        raise InvalidParameterError("empty edge-list input")
     pairs = []
-    for number, line in rows:
+    for number, line in _content_lines(text):
         try:
             u, v = line.split()  # ValueError unless two tokens
             pairs.append((int(u), int(v)))
@@ -393,6 +372,8 @@ def parse_edge_list(text: str) -> Graph:
             shape = "u v" if pairs else "n m"
             raise InvalidParameterError(
                 f"line {number}: expected {shape!r}, got {line!r}") from None
+    if not pairs:
+        raise InvalidParameterError("empty edge-list input")
     (n, m), edges = pairs[0], pairs[1:]
     # checked before building, so a short file cannot make the builder
     # allocate for a huge n: a connected graph has at least n - 1 edges
@@ -406,7 +387,8 @@ def parse_edge_list(text: str) -> Graph:
     graph = build_graph(n, edges)
     if graph.edge_count != m:  # the graph merged a repeat: name the first
         seen = set()
-        for (number, _), (u, v) in zip(rows[1:], edges):
+        numbers = itertools.islice(_content_lines(text), 1, None)
+        for (number, _), (u, v) in zip(numbers, edges):
             if (v, u) in seen or (u, v) in seen:
                 raise InvalidParameterError(
                     f"line {number}: duplicate edge {u} {v}")
@@ -414,15 +396,27 @@ def parse_edge_list(text: str) -> Graph:
     return _recognise_power(graph.adjacency, m) or graph
 
 
+def _content_lines(text: str) -> Iterable[tuple]:
+    """(line number, text) of each line left non-blank once its '#'
+    comment is cut off, yielded lazily so a parse walks the text once."""
+    for number, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield number, line
+
+
 def _recognise_power(adjacency: tuple, edge_count: int) -> Optional[Graph]:
     """The graph with this adjacency as a product F^t, t >= 2, where F is
-    its subgraph on vertices 0..m-1, if F^t has exactly this adjacency;
-    else None.  An equal edge set is the same graph, so no distance can
-    change.  The largest t is tried first, so a K_n^t file gets complete
-    factors.  The product is built without _check_size: the graph is
-    already in memory, and a file that parses must not fail under a
-    small RADIOLABEL_SIZE_CAP.  Recognising a relabelled product needs
-    the linear-time factorisation of Imrich and Peterin ("Recognizing
+    its subgraph on vertices 0..m-1, if F^t has exactly these edges; else
+    None.  F^t has t * m^(t-1) * |E(F)| edges, so with that many parsed
+    edges, each at distance 1 in F^t, the edge sets are equal and no
+    distance can change.  The largest t is tried first, so a K_n^t file
+    gets complete factors.  A factor past DISTANCE_CACHE_LIMIT, whose
+    distances the product could not serve, leaves the graph flat.  The
+    product is built without _check_size: the graph is already in
+    memory, and a file that parses must not fail under a small
+    RADIOLABEL_SIZE_CAP.  Recognising a relabelled product needs the
+    linear-time factorisation of Imrich and Peterin ("Recognizing
     Cartesian products in linear time", Discrete Math. 307, 2007)."""
     n = len(adjacency)
     for t in range(n.bit_length() - 1, 1, -1):
@@ -434,12 +428,13 @@ def _recognise_power(adjacency: tuple, edge_count: int) -> Optional[Graph]:
         if edge_count != t * m ** (t - 1) * len(factor_edges):
             continue
         try:
-            factor = Graph(m, factor_edges)
-        except DisconnectedError:  # then F^t is disconnected too
-            continue
-        power = Graph._product((factor,) * t)
-        if power.adjacency == adjacency:
-            power._adjacency = adjacency  # keep one copy, the parsed one
+            power = Graph._product((Graph(m, factor_edges),) * t)
+            dist = power._distance_function()
+        except (DisconnectedError, TooLargeError):
+            continue  # F is disconnected, so F^t is, or past the cache
+        if all(dist(u, w) == 1 for u, nbrs in enumerate(adjacency)
+               for w in nbrs if u < w):
+            power._adjacency = adjacency  # the parsed copy; none is built
             return power
     return None
 

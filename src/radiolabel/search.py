@@ -204,8 +204,6 @@ def find_consecutive_ordering(graph: Graph,
     order = [0] * n
     used = [False] * n
     timed_out = False
-    if sys.getrecursionlimit() < n + 100:
-        sys.setrecursionlimit(n + 100)
 
     def admissible(v: int, depth: int) -> bool:
         for c in range(1, min(diam, depth) + 1):
@@ -245,7 +243,13 @@ def find_consecutive_ordering(graph: Graph,
                 return found
         return None
 
-    witness = extend(0)
+    # extend recurses once per position; the old limit is put back after
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, n + 100))
+    try:
+        witness = extend(0)
+    finally:
+        sys.setrecursionlimit(limit)
     if witness is not None:
         labeling = induced_labeling(graph, witness)
         return SearchResult(WITNESS_FOUND, labeling.span, witness, labeling,

@@ -20,6 +20,11 @@ def star(leaves: int) -> Graph:
     return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def counted_edge_list(n: int, edges: list) -> str:
+    """Edge-list text whose header counts the edges given."""
+    return "\n".join([f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges])
+
+
 def random_connected(n: int, extra_edges: int, rng: random.Random) -> Graph:
     """Random spanning tree plus extra random edges; always connected."""
     edges = {(rng.randrange(v), v) for v in range(1, n)}

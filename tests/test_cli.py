@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import os
 import random
+import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import counted_edge_list
 from radiolabel import parse_edge_list
 from radiolabel.cli import main
 
@@ -117,6 +124,22 @@ def test_radio_number_table_and_json(capsys, tmp_path):
     code, out3, _ = run(capsys, "radio-number", c4, "--format", "json",
                         "--no-prune")
     assert json.loads(out3)["span"] == 5
+
+
+def test_search_result_tables_are_pinned(capsys, tmp_path):
+    c4 = write(tmp_path, "c4.txt", "4 4\n0 1\n0 3\n1 2\n2 3\n")
+    assert run(capsys, "radio-number", c4) == (0, (
+        "status              exact\n"
+        "span                5\n"
+        "ordering            0 2 1 3\n"
+        "labels              1 4 2 5\n"
+        "orderings_examined  3\n"), "")
+    assert run(capsys, "search-consecutive", c4) == (0, (
+        "status              exhausted-no-witness\n"
+        "span                -\n"
+        "ordering            -\n"
+        "labels              -\n"
+        "orderings_examined  0\n"), "")
 
 
 def test_radio_number_guard_suggests_search(capsys, tmp_path):
@@ -264,8 +287,13 @@ def test_malformed_json_is_an_error_line(capsys, tmp_path, command, text,
     (b"3 3\n0 1\n1 2\n0 1\n", "line 4: duplicate edge 0 1"),
     (b"# c\n3 3\n0 1\n1 2\n1 0\n", "line 5: duplicate edge 1 0"),
     (b"200000 0\n", "needed to connect 200000 vertices"),
+    (b"# only a comment\n\n", "error: empty edge-list input\n"),
+    (b"3 3\n0 1\n1 2\n", "error: header declares 3 edges, found 2\n"),
+    (b"4 3\n0 1\n0 2\n1 2\n",
+     "error: graph is disconnected (3 of 4 vertices reachable)\n"),
 ], ids=["not-utf8", "header-token", "edge-token", "duplicate-edge",
-        "reversed-duplicate-edge", "too-few-edges"])
+        "reversed-duplicate-edge", "too-few-edges", "empty", "edge-count",
+        "disconnected"])
 def test_malformed_edge_list_is_an_error_line(capsys, tmp_path, text,
                                               message):
     target = tmp_path / "g.txt"
@@ -303,3 +331,158 @@ def test_knt_pipeline_past_the_distance_cache(capsys, tmp_path):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "4096-vertex cache" in err
+
+
+# ---------------------------------------------------------------------------
+# every subcommand over generated inputs: an exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+@st.composite
+def connected_edge_lists(draw):
+    """Edge-list text of a connected graph on at most 6 vertices: a random
+    tree plus random extra edges."""
+    n = draw(st.integers(1, 6))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges |= {(min(e), max(e)) for e in draw(st.lists(pairs, max_size=6))
+              if e[0] != e[1]}
+    return counted_edge_list(n, sorted(edges))
+
+
+SMALL = st.integers(-2, 9)
+EDGE_LISTS = (
+    st.builds(counted_edge_list, st.integers(-1, 5),
+              st.lists(st.tuples(SMALL, SMALL), max_size=6))
+    | st.text(alphabet="0123456789 -#x\n", max_size=24))
+JSON_TEXTS = (
+    st.builds(lambda order: json.dumps({"order": order}),
+              st.lists(SMALL, max_size=8)
+              | st.lists(st.lists(SMALL, max_size=3), max_size=8))
+    | st.builds(lambda order, n: json.dumps({"order": order, "n": n}),
+                st.lists(st.lists(SMALL, max_size=3), max_size=8),
+                st.integers(-1, 10 ** 30))
+    | st.builds(lambda labels, span: json.dumps(
+                    {"labels": labels, "span": span}),
+                st.lists(st.integers(-2, 40), max_size=8),
+                st.none() | st.integers(-2, 40) | st.just(3.0))
+    | st.text(alphabet='{}[]":,0123456789.labelsorder ', max_size=24))
+FORMATS = st.sampled_from([[], ["--format", "table"], ["--format", "json"]])
+
+
+def maybe(draw, *words):
+    """The words or nothing, evenly."""
+    return draw(st.sampled_from([[], list(words)]))
+
+
+def mostly(draw, *words):
+    """The words, but about one time in eight nothing: a usage error
+    where they are required."""
+    return list(words) if draw(st.integers(0, 7)) < 7 else []
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, {file name: text}, stdin text) for one subcommand; argv
+    names the files relative to the working directory.  Most graphs are
+    connected and most JSON fits them, so most calls get past the
+    readers; the rest are malformed."""
+    files = {}
+    sizes = []
+    stdin = ""
+
+    def graph():
+        name = f"g{len(files)}.txt"
+        if draw(st.integers(0, 3)) < 3:
+            text = draw(connected_edge_lists())
+            sizes.append(int(text.split()[0]))
+        else:
+            text = draw(EDGE_LISTS)
+        files[name] = text
+        return name
+
+    def json_file():
+        nonlocal stdin
+        n = sizes[-1] if sizes and draw(st.integers(0, 3)) < 3 else None
+        if n is None:
+            text = draw(JSON_TEXTS)
+        elif draw(st.booleans()):
+            text = json.dumps({"order": draw(st.permutations(range(n)))})
+        else:
+            text = json.dumps({"labels": draw(st.lists(
+                st.integers(1, 3 * n), min_size=n, max_size=n))})
+        if draw(st.booleans()):
+            files["in.json"] = text
+            return ["in.json"]
+        stdin = text
+        return []  # the command reads stdin
+
+    command = draw(st.sampled_from([
+        "builtin", "product", "power", "order-knt", "induce", "verify",
+        "radio-number", "search-consecutive", "threshold"]))
+    out = maybe(draw, "--out", "out.txt")
+    if command == "builtin":
+        # "star" is no builder: a usage error
+        argv = [draw(st.sampled_from(["complete", "path", "cycle",
+                                      "petersen", "star"]))]
+        argv += maybe(draw, "--n", str(draw(st.integers(-1, 12)))) + out
+    elif command == "product":
+        argv = [graph(), graph()] + out
+    elif command == "power":
+        argv = [graph()] + mostly(draw, "--t", str(draw(
+            st.integers(-1, 4)))) + out
+    elif command == "order-knt":
+        argv = (mostly(draw, "--n", str(draw(st.integers(-1, 6))))
+                + mostly(draw, "--t", str(draw(st.integers(-1, 5))))
+                + maybe(draw, "--flat") + out)
+    elif command == "induce":
+        argv = [graph()] + json_file() + out + draw(FORMATS)
+    elif command == "verify":
+        argv = ([graph()] + json_file()
+                + maybe(draw, "--k", str(draw(SMALL)))
+                + maybe(draw, "--all-violations") + draw(FORMATS))
+    elif command == "radio-number":
+        argv = ([graph()]
+                + maybe(draw, "--limit", str(draw(st.integers(-1, 7))))
+                + maybe(draw, "--no-prune")
+                + maybe(draw, "--symmetry-reduction") + draw(FORMATS))
+    elif command == "search-consecutive":
+        budget = draw(st.floats(0, 0.05) | st.sampled_from(
+            ["-1", "nan", "x"]))
+        argv = [graph()] + maybe(draw, "--budget", str(budget)) + draw(
+            FORMATS)
+    else:
+        source = draw(st.sampled_from(["graph", "params", "both"]))
+        argv = ((["--graph", graph()] if source != "params" else [])
+                + (["--n", str(draw(st.integers(-1, 10 ** 6))),
+                    "--diam", str(draw(SMALL))] if source != "graph" else [])
+                + [word for t in draw(st.lists(st.integers(-1, 12),
+                                               max_size=3))
+                   for word in ("--t", str(t))]
+                + draw(FORMATS))
+    if draw(st.integers(0, 15)) == 15:
+        argv.append("--bogus")
+    return [command] + argv, files, stdin
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cli_calls())
+def test_every_subcommand_exits_with_a_code(monkeypatch, call):
+    # the cap keeps every construction the flags allow small
+    monkeypatch.setenv("RADIOLABEL_SIZE_CAP", "4096")
+    argv, files, stdin = call
+    with tempfile.TemporaryDirectory() as work:
+        for name, text in files.items():
+            with open(os.path.join(work, name), "w",
+                      encoding="utf-8") as handle:
+                handle.write(text)
+        monkeypatch.chdir(work)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        monkeypatch.undo()
+    assert code in (0, 1, 2), (argv, files, err.getvalue())

@@ -8,7 +8,8 @@ from collections import deque
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import kernel_corpus, random_connected, small_corpus
+from conftest import (counted_edge_list, kernel_corpus, random_connected,
+                      small_corpus)
 from radiolabel import (
     DisconnectedError,
     IndexOutOfRangeError,
@@ -436,10 +437,6 @@ def test_edge_list_too_few_edges_fails_before_building():
     assert parse_edge_list("1 0\n").vertex_count == 1
 
 
-def counted_edge_list(n: int, edges: list) -> str:
-    return "\n".join([f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges])
-
-
 EDGE_TOKENS = st.integers(-1, 5).map(str) | st.sampled_from(
     ("x", "#", "1.5", "", "10000000000"))
 # free text, lines of loose tokens, and headers that count the edges given
@@ -572,6 +569,31 @@ def test_duplicate_edge_is_reported_before_recognition():
     # C_4 is K_2^2; the repeat is still named by its line
     with pytest.raises(InvalidParameterError, match="line 6: duplicate edge"):
         parse_edge_list("4 5\n0 1\n0 2\n1 3\n2 3\n1 0\n")
+
+
+def test_recognition_builds_no_product_adjacency(monkeypatch):
+    # the candidate F^t is checked through its distance kernel, edge by
+    # parsed edge; its own adjacency is never materialised
+    powers = [cartesian_power(complete(4), 3), cartesian_power(path(3), 3),
+              cartesian_power(petersen(), 2)]
+    expected = [(g.factor_sizes, format_edge_list(g)) for g in powers]
+
+    def refuse(self):
+        raise AssertionError("product adjacency materialised")
+
+    monkeypatch.setattr(Graph, "_materialize_product_adjacency", refuse)
+    for sizes, text in expected:
+        again = parse_edge_list(text)
+        assert again.factor_sizes == sizes
+        assert format_edge_list(again) == text
+
+
+def test_factor_past_the_distance_cache_reads_back_flat(monkeypatch):
+    text = format_edge_list(cartesian_power(complete(3), 2))
+    monkeypatch.setattr("radiolabel.graphs.DISTANCE_CACHE_LIMIT", 2)
+    g = parse_edge_list(text)
+    assert g.factors is None
+    assert g.vertex_count == 9 and g.edge_count == 18
 
 
 POWER_BASES = st.sampled_from(

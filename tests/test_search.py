@@ -1,3 +1,4 @@
+import sys
 import time
 from itertools import permutations
 
@@ -238,6 +239,14 @@ def test_zero_budget_times_out():
     result = find_consecutive_ordering(petersen(), time_budget=0.0)
     assert result.status == TIMEOUT
     assert result.ordering is None
+
+
+def test_witness_search_restores_the_recursion_limit():
+    # a 1000-vertex graph needs a deeper stack than the default 1000
+    before = sys.getrecursionlimit()
+    result = find_consecutive_ordering(cycle(1000), time_budget=0.0)
+    assert result.status == TIMEOUT
+    assert sys.getrecursionlimit() == before
 
 
 def test_budget_must_be_finite_and_non_negative():
