@@ -39,6 +39,13 @@ def _format_flag(parser: argparse.ArgumentParser) -> None:
                         help="output style (default: table)")
 
 
+def _budget_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--budget", type=float,
+                        default=search.DEFAULT_TIME_BUDGET,
+                        help="time budget in seconds (default: "
+                             f"{search.DEFAULT_TIME_BUDGET:g})")
+
+
 def _result_text(result: search.SearchResult, fmt: str) -> str:
     fields = result.to_dict()
     if fmt == JSON:
@@ -140,7 +147,7 @@ def _cmd_radio_number(args) -> int:
     graph = _read_graph(args.graph)
     result = search.exact_radio_number(
         graph, limit=args.limit, prune=not args.no_prune,
-        symmetry_reduction=args.symmetry_reduction)
+        symmetry_reduction=args.symmetry_reduction, time_budget=args.budget)
     _emit(_result_text(result, args.format), None)
     return 0
 
@@ -232,15 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symmetry-reduction", action="store_true",
                    help="start only from one vertex per automorphism class "
                         "(same optimum, possibly a different witness)")
+    _budget_flag(p)
     _format_flag(p)
     p.set_defaults(handler=_cmd_radio_number)
 
     p = sub.add_parser("search-consecutive",
                        help="backtracking search for a consecutive witness")
     p.add_argument("graph")
-    p.add_argument("--budget", type=float,
-                   default=search.DEFAULT_TIME_BUDGET,
-                   help="time budget in seconds")
+    _budget_flag(p)
     _format_flag(p)
     p.set_defaults(handler=_cmd_search_consecutive)
 

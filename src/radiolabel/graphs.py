@@ -1,7 +1,7 @@
 """Graph representation, BFS distances, Cartesian products, and named builders.
 
 Vertices are the integers 0..n-1.  Graphs are immutable once built and safe
-to share between threads; the lazily filled caches (BFS distance matrix,
+to share between threads; the lazily filled caches (distance matrix,
 product adjacency) are idempotent, so a duplicated fill is harmless.
 """
 
@@ -144,7 +144,8 @@ class Graph:
         return self._dist[u][v]
 
     def distance_matrix(self) -> DistanceMatrix:
-        """All-pairs hop distances, filled once by BFS and cached.
+        """All-pairs hop distances, filled once and cached: by BFS on a flat
+        graph, by summing the factors' tables on a product.
 
         Raises TooLargeError above DISTANCE_CACHE_LIMIT vertices.
         """
@@ -156,7 +157,17 @@ class Graph:
                     f"distances per coordinate without it, whether built by "
                     f"cartesian_power or read from an edge list in the "
                     f"vertex numbering it gives them")
-            self._dist = all_pairs_distances(self)
+            if self._factors is None:
+                self._dist = all_pairs_distances(self)
+            else:
+                # folding the factors left to right, numbering (g, h) as
+                # g|H| + h, as _materialize_product_adjacency does
+                table = self._factors[0].distance_matrix()
+                for f in self._factors[1:]:
+                    h_table = f.distance_matrix()
+                    table = [[a + b for a in ra for b in rh]
+                             for ra in table for rh in h_table]
+                self._dist = table
         return self._dist
 
     def _distance_function(self) -> Callable[[int, int], int]:

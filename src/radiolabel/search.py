@@ -13,7 +13,7 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import InvalidParameterError, TooLargeError
 from .graphs import Graph
@@ -92,14 +92,45 @@ def _some_automorphism_maps(graph: Graph, r: int, v: int) -> bool:
     return extend(0)
 
 
+def _deadline(time_budget: float) -> float:
+    """The monotonic-clock deadline of a search given time_budget seconds.
+
+    Raises InvalidParameterError for a budget that is negative, infinite
+    or NaN.
+    """
+    if not 0 <= time_budget < math.inf:  # a NaN would never expire
+        raise InvalidParameterError(
+            f"time budget {time_budget} must be finite seconds >= 0")
+    return time.monotonic() + time_budget
+
+
+def _run_deep(walk: Callable[[], object], depth: int):
+    """walk() with room for depth nested calls; both searches recurse once
+    per position.  The old recursion limit is put back after."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, depth + 100))
+    try:
+        return walk()
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
                        prune: bool = True,
-                       symmetry_reduction: bool = False) -> SearchResult:
+                       symmetry_reduction: bool = False,
+                       time_budget: float = DEFAULT_TIME_BUDGET
+                       ) -> SearchResult:
     """Minimum span over every ordering-induced radio labeling.
 
-    The pruned walk cuts a partial ordering once its last label plus the
-    number of unplaced vertices reaches the best known span (labels rise by
-    at least one per step, so no completion can do better).  With
+    The pruned walk cuts a partial ordering once its last label plus a
+    lower bound on the cost of the unplaced vertices reaches the best known
+    span.  An unplaced w placed right after any u gets a label at least
+    diam + 1 - d(u, w) >= diam + 1 - ecc(w) above u's, and at least 1, so
+    the bound is the sum of max(1, diam + 1 - ecc(w)) over the unplaced w
+    (the eccentricity argument Liu and Zhu use for paths and cycles, SIAM
+    J. Discrete Math. 19, 2005).  The walk is lexicographic and reaches a
+    leaf only when it strictly improves the best span, so the witness and
+    orderings_examined are those of any other admissible bound.  With
     prune=False the search degenerates to plain enumeration of all |V|!
     orderings through the labeling module, kept as the cross-check oracle.
 
@@ -108,7 +139,14 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
     any optimal ordering to one starting at a representative), but the
     witness may then differ from the unreduced lexicographic one, so the
     flag defaults to off.
+
+    The time budget starts on entry.  Once it runs out the search returns
+    timeout with the best ordering found so far, whose span is an upper
+    bound on the radio number, or with no ordering if none was completed.
+    Raises InvalidParameterError for a budget that is negative, infinite
+    or NaN, and TooLargeError above limit vertices.
     """
+    deadline = _deadline(time_budget)
     n = graph.vertex_count
     if n > limit:
         raise TooLargeError(
@@ -117,26 +155,32 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
     starts = (_first_vertex_representatives(graph) if symmetry_reduction
               else range(n))
     if not prune:
-        return _enumerate_all(graph, set(starts))
+        return _enumerate_all(graph, set(starts), deadline)
 
     diam = graph.diameter()
     bound = diam + 1
     dist = graph.distance_matrix()
+    cost = [max(1, bound - max(row)) for row in dist]
     best_span = None
     best_order = None
     examined = 0
     order = [0] * n
     labels = [0] * n
     used = [False] * n
+    timed_out = False
 
-    def walk(depth: int) -> None:
-        nonlocal best_span, best_order, examined
+    def walk(depth: int, rest: int) -> None:
+        # rest is the sum of cost over the unplaced vertices
+        nonlocal best_span, best_order, examined, timed_out
         if depth == n:
             examined += 1
             span = labels[depth - 1]
             if best_span is None or span < best_span:
                 best_span = span
                 best_order = tuple(order)
+            return
+        if time.monotonic() > deadline:
+            timed_out = True
             return
         prev = labels[depth - 1] if depth else 0
         for v in (starts if depth == 0 else range(n)):
@@ -148,24 +192,30 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
                 candidate = labels[depth - c] + bound - row[order[depth - c]]
                 if candidate > label:
                     label = candidate
-            if best_span is not None and label + (n - depth - 1) >= best_span:
+            after = rest - cost[v]
+            if best_span is not None and label + after >= best_span:
                 continue
             order[depth] = v
             labels[depth] = label
             used[v] = True
-            walk(depth + 1)
+            walk(depth + 1, after)
             used[v] = False
+            if timed_out:
+                return
 
-    walk(0)
-    labeling = induced_labeling(graph, best_order)
-    return SearchResult(EXACT, best_span, best_order, labeling, examined)
+    _run_deep(lambda: walk(0, sum(cost)), n)
+    return _result(graph, TIMEOUT if timed_out else EXACT, best_span,
+                   best_order, examined)
 
 
-def _enumerate_all(graph: Graph, starts: set) -> SearchResult:
+def _enumerate_all(graph: Graph, starts: set, deadline: float
+                   ) -> SearchResult:
     best_span = None
     best_order = None
     examined = 0
     for order in permutations(range(graph.vertex_count)):
+        if time.monotonic() > deadline:
+            return _result(graph, TIMEOUT, best_span, best_order, examined)
         if order[0] not in starts:
             continue
         examined += 1
@@ -173,8 +223,13 @@ def _enumerate_all(graph: Graph, starts: set) -> SearchResult:
         if best_span is None or span < best_span:
             best_span = span
             best_order = order
-    labeling = induced_labeling(graph, best_order)
-    return SearchResult(EXACT, best_span, best_order, labeling, examined)
+    return _result(graph, EXACT, best_span, best_order, examined)
+
+
+def _result(graph: Graph, status: str, span: Optional[int],
+            order: Optional[tuple], examined: int) -> SearchResult:
+    labeling = induced_labeling(graph, order) if order is not None else None
+    return SearchResult(status, span, order, labeling, examined)
 
 
 def find_consecutive_ordering(graph: Graph,
@@ -189,17 +244,15 @@ def find_consecutive_ordering(graph: Graph,
     order strands the walk in a barren subtree.  The rule is fixed, so
     repeated runs return the identical witness.  Returns witness-found,
     exhausted-no-witness when the whole tree was explored, or timeout once
-    the budget runs out.  Raises TooLargeError above the distance cache
-    limit, graphs.DISTANCE_CACHE_LIMIT vertices, and InvalidParameterError
-    for a budget that is negative, infinite or NaN.
+    the budget, which starts on entry, runs out.  Raises TooLargeError
+    above the distance cache limit, graphs.DISTANCE_CACHE_LIMIT vertices,
+    and InvalidParameterError for a budget that is negative, infinite or
+    NaN.
     """
-    if not 0 <= time_budget < math.inf:  # a NaN would never expire
-        raise InvalidParameterError(
-            f"time budget {time_budget} must be finite seconds >= 0")
+    deadline = _deadline(time_budget)
     n = graph.vertex_count
     diam = graph.diameter()
     dist = graph.distance_matrix()
-    deadline = time.monotonic() + time_budget
     examined = 0
     order = [0] * n
     used = [False] * n
@@ -243,13 +296,7 @@ def find_consecutive_ordering(graph: Graph,
                 return found
         return None
 
-    # extend recurses once per position; the old limit is put back after
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, n + 100))
-    try:
-        witness = extend(0)
-    finally:
-        sys.setrecursionlimit(limit)
+    witness = _run_deep(lambda: extend(0), n)
     if witness is not None:
         labeling = induced_labeling(graph, witness)
         return SearchResult(WITNESS_FOUND, labeling.span, witness, labeling,

@@ -249,11 +249,26 @@ def test_non_integer_json_numbers_rejected(capsys, tmp_path):
 
 def test_bad_search_budget_is_an_error_line(capsys, tmp_path):
     c4 = write(tmp_path, "c4.txt", "4 4\n0 1\n1 2\n2 3\n3 0\n")
-    for budget in ("nan", "inf", "-1"):
-        code, out, err = run(capsys, "search-consecutive", c4,
-                             "--budget", budget)
-        assert code == 1 and out == "", budget
-        assert err.startswith("error: time budget") and err.count("\n") == 1
+    for command in ("search-consecutive", "radio-number"):
+        for budget in ("nan", "inf", "-1"):
+            code, out, err = run(capsys, command, c4, "--budget", budget)
+            assert code == 1 and out == "", (command, budget)
+            assert err.startswith("error: time budget"), (command, budget)
+            assert err.count("\n") == 1, (command, budget)
+
+
+def test_radio_number_budget_prints_an_upper_bound(capsys, tmp_path):
+    # the 12-path takes far longer than the budget to settle; rn(P_12) is
+    # 62 with labels from 1 (Liu and Zhu)
+    p12 = write(tmp_path, "p12.txt", counted_edge_list(
+        12, [(v, v + 1) for v in range(11)]))
+    code, out, err = run(capsys, "radio-number", p12, "--limit", "12",
+                         "--budget", "0.2", "--format", "json")
+    assert code == 0 and err == ""
+    result = json.loads(out)
+    assert result["status"] == "timeout"
+    assert result["span"] >= 62
+    assert max(result["labels"]) == result["span"]
 
 
 P3 = "3 2\n0 1\n1 2\n"
@@ -367,6 +382,7 @@ JSON_TEXTS = (
                 st.none() | st.integers(-2, 40) | st.just(3.0))
     | st.text(alphabet='{}[]":,0123456789.labelsorder ', max_size=24))
 FORMATS = st.sampled_from([[], ["--format", "table"], ["--format", "json"]])
+BUDGETS = st.floats(0, 0.05) | st.sampled_from(["-1", "nan", "x"])
 
 
 def maybe(draw, *words):
@@ -444,11 +460,10 @@ def cli_calls(draw):
         argv = ([graph()]
                 + maybe(draw, "--limit", str(draw(st.integers(-1, 7))))
                 + maybe(draw, "--no-prune")
-                + maybe(draw, "--symmetry-reduction") + draw(FORMATS))
+                + maybe(draw, "--symmetry-reduction")
+                + maybe(draw, "--budget", str(draw(BUDGETS))) + draw(FORMATS))
     elif command == "search-consecutive":
-        budget = draw(st.floats(0, 0.05) | st.sampled_from(
-            ["-1", "nan", "x"]))
-        argv = [graph()] + maybe(draw, "--budget", str(budget)) + draw(
+        argv = [graph()] + maybe(draw, "--budget", str(draw(BUDGETS))) + draw(
             FORMATS)
     else:
         source = draw(st.sampled_from(["graph", "params", "both"]))

@@ -137,6 +137,8 @@ def test_distance_function_matches_bfs():
         n = g.vertex_count
         assert all(dist(u, v) == bfs[u][v]
                    for u in range(n) for v in range(n)), name
+        # a product's table is summed from its factors' tables
+        assert g.distance_matrix() == bfs, name
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import random
 import sys
 import time
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import small_corpus, star
 from radiolabel import (
@@ -12,11 +14,15 @@ from radiolabel import (
     TIMEOUT,
     TooLargeError,
     WITNESS_FOUND,
+    all_pairs_distances,
+    build_graph,
     cartesian_power,
+    check_radio,
     complete,
     cycle,
     exact_radio_number,
     find_consecutive_ordering,
+    induced_labeling,
     is_consecutive,
     path,
     petersen,
@@ -89,6 +95,103 @@ def liu_zhu_span(n: int) -> int:
 @pytest.mark.parametrize("n", range(4, 10))
 def test_path_spans_match_liu_zhu(n):
     assert exact_radio_number(path(n)).span == liu_zhu_span(n)
+
+
+def one_per_step_walk(graph, starts) -> tuple:
+    """(span, ordering, labels, orderings_examined) of the exact search
+    pruning with one label step per unplaced vertex, the weakest admissible
+    bound; the reference for the eccentricity bound."""
+    n = graph.vertex_count
+    dist = all_pairs_distances(graph)
+    diam = max(map(max, dist))
+    best = [None, None, 0]  # span, ordering, leaves reached
+    order, labels, used = [0] * n, [0] * n, [False] * n
+
+    def walk(depth):
+        if depth == n:
+            best[2] += 1
+            if best[0] is None or labels[-1] < best[0]:
+                best[0], best[1] = labels[-1], tuple(order)
+            return
+        for v in (starts if depth == 0 else range(n)):
+            if used[v]:
+                continue
+            label = max([labels[depth - 1] + 1 if depth else 1]
+                        + [labels[depth - c] + diam + 1
+                           - dist[v][order[depth - c]]
+                           for c in range(1, min(diam, depth) + 1)])
+            if best[0] is not None and label + (n - depth - 1) >= best[0]:
+                continue
+            order[depth], labels[depth], used[v] = v, label, True
+            walk(depth + 1)
+            used[v] = False
+
+    walk(0)
+    return (best[0], best[1], induced_labeling(graph, best[1]).labels,
+            best[2])
+
+
+# the four random connected 9-vertex graphs of the benchmark's search
+# workload (perfbench/workloads.py), with their radio numbers
+POOL = {
+    "rand-a": (18, ((0, 5), (1, 2), (1, 4), (1, 5), (2, 3), (2, 8), (3, 8),
+                    (4, 6), (4, 8), (5, 6), (5, 7), (6, 7))),
+    "rand-b": (16, ((0, 1), (0, 2), (0, 4), (0, 5), (1, 3), (1, 5), (1, 6),
+                    (1, 8), (2, 5), (2, 8), (3, 8), (4, 7), (4, 8), (5, 7),
+                    (6, 7), (7, 8))),
+    "rand-c": (14, ((0, 4), (0, 5), (0, 6), (0, 7), (1, 5), (2, 4), (2, 8),
+                    (3, 5), (3, 6), (3, 8), (4, 5), (4, 6), (5, 7), (6, 8))),
+    "rand-d": (18, ((0, 5), (0, 6), (1, 2), (1, 3), (2, 4), (3, 5), (4, 8),
+                    (5, 7), (5, 8), (6, 8), (7, 8))),
+}
+
+
+def bound_corpus() -> list:
+    graphs = small_corpus() + [(f"P{n}", path(n)) for n in range(7, 10)]
+    graphs += [("C9", cycle(9)), ("P3xP3", cartesian_power(path(3), 2))]
+    rng = random.Random(9)
+    for name, (_span, edges) in POOL.items():
+        perm = list(range(9))
+        rng.shuffle(perm)
+        graphs.append((name, build_graph(
+            9, [(perm[u], perm[v]) for u, v in edges])))
+    return graphs
+
+
+@pytest.mark.parametrize("symmetry_reduction", [False, True])
+def test_eccentricity_bound_walks_like_the_one_per_step_bound(
+        symmetry_reduction):
+    for name, g in bound_corpus():
+        starts = (_first_vertex_representatives(g) if symmetry_reduction
+                  else range(g.vertex_count))
+        result = exact_radio_number(g, symmetry_reduction=symmetry_reduction)
+        assert result.status == EXACT, name
+        assert (result.span, result.ordering, result.labeling.labels,
+                result.orderings_examined) == one_per_step_walk(g, starts), \
+            name
+        if name in POOL:
+            assert result.span == POOL[name][0], name
+
+
+@st.composite
+def small_connected_graphs(draw):
+    n = draw(st.integers(2, 7))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges |= {(min(e), max(e)) for e in draw(st.lists(pairs, max_size=8))
+              if e[0] != e[1]}
+    return build_graph(n, sorted(edges))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(small_connected_graphs(), st.booleans())
+def test_pruned_equals_unpruned_on_random_graphs(g, symmetry_reduction):
+    pruned = exact_radio_number(g, symmetry_reduction=symmetry_reduction)
+    unpruned = exact_radio_number(g, prune=False,
+                                  symmetry_reduction=symmetry_reduction)
+    assert (pruned.status, pruned.span, pruned.ordering, pruned.labeling) \
+        == (unpruned.status, unpruned.span, unpruned.ordering,
+            unpruned.labeling)
 
 
 def test_pruned_equals_unpruned_on_corpus():
@@ -249,11 +352,55 @@ def test_witness_search_restores_the_recursion_limit():
     assert sys.getrecursionlimit() == before
 
 
+def test_exact_search_runs_deeper_than_the_recursion_limit():
+    # the walk recurses once per position: 1001 positions need more than
+    # the default limit of 1000; the first ordering meets the bound
+    before = sys.getrecursionlimit()
+    g = star(1000)
+    result = exact_radio_number(g, limit=1001, time_budget=10.0)
+    assert (result.status, result.span) == (EXACT, 1002)
+    assert sys.getrecursionlimit() == before
+
+
 def test_budget_must_be_finite_and_non_negative():
     # NaN would never reach the deadline; C_4 keeps a miss fast
     for budget in (float("nan"), float("inf"), -1.0):
         with pytest.raises(InvalidParameterError, match="time budget"):
             find_consecutive_ordering(cycle(4), time_budget=budget)
+        with pytest.raises(InvalidParameterError, match="time budget"):
+            exact_radio_number(cycle(4), time_budget=budget)
+
+
+def test_witness_budget_bounds_the_distance_table():
+    # 1296 vertices: the deadline starts before the table is built, and a
+    # product's table is summed from its factors' tables, not found by BFS
+    g = cartesian_power(complete(6), 4)
+    start = time.monotonic()
+    result = find_consecutive_ordering(g, time_budget=0)
+    assert result.status == TIMEOUT
+    assert time.monotonic() - start < 0.5
+
+
+def test_exact_budget_returns_an_upper_bound():
+    # P_12 takes tens of seconds to settle; the walk completes orderings
+    # long before the budget runs out
+    g = path(12)
+    start = time.monotonic()
+    result = exact_radio_number(g, limit=12, time_budget=0.5)
+    assert time.monotonic() - start < 2.0
+    assert result.status == TIMEOUT
+    assert result.span >= liu_zhu_span(12)
+    assert sorted(result.ordering) == list(range(12))
+    assert result.labeling.span == result.span
+    assert check_radio(g, result.labeling) == []
+
+
+def test_exact_zero_budget_times_out_without_an_ordering():
+    for prune in (True, False):
+        result = exact_radio_number(path(5), prune=prune, time_budget=0)
+        assert result.status == TIMEOUT, prune
+        assert (result.span, result.ordering, result.labeling) \
+            == (None, None, None), prune
 
 
 def test_witnesses_verify_on_corpus():
