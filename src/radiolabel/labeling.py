@@ -164,19 +164,15 @@ def is_consecutive(graph: Graph,
 def check_consecutive_ordering(graph: Graph, order: Sequence[int]) -> bool:
     """True iff d(x_i, x_{i+c}) >= diam - c + 1 for every i and c <= diam.
 
-    Offsets past diam impose nothing, so the scan is O(N * diam).  Holding
-    is equivalent to the induced labeling having span |V|.
+    Offsets past diam impose nothing, so the scan is O(N * diam): one pass
+    per offset c, taking the least distance over all pairs c apart.
+    Holding is equivalent to the induced labeling having span |V|.
     """
     order = validate_ordering(graph, order)
     diam = graph.diameter()
     dist = graph._distance_function()
-    n = len(order)
-    for i in range(n - 1):
-        u = order[i]
-        for c in range(1, min(diam, n - 1 - i) + 1):
-            if dist(u, order[i + c]) < diam - c + 1:
-                return False
-    return True
+    return all(min(map(dist, order, order[c:]), default=diam) >= diam - c + 1
+               for c in range(1, diam + 1))
 
 
 # ---------------------------------------------------------------------------

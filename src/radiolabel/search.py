@@ -140,11 +140,13 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
     witness may then differ from the unreduced lexicographic one, so the
     flag defaults to off.
 
-    The time budget starts on entry.  Once it runs out the search returns
-    timeout with the best ordering found so far, whose span is an upper
-    bound on the radio number, or with no ordering if none was completed.
-    Raises InvalidParameterError for a budget that is negative, infinite
-    or NaN, and TooLargeError above limit vertices.
+    The time budget starts on entry and also bounds the filling of a flat
+    graph's distance table.  Once it runs out the search returns timeout
+    with the best ordering found so far, whose span is an upper bound on
+    the radio number, or with no ordering if none was completed.  Raises
+    InvalidParameterError for a budget that is negative, infinite or NaN,
+    and TooLargeError above limit vertices or above the distance cache
+    limit, graphs.DISTANCE_CACHE_LIMIT vertices.
     """
     deadline = _deadline(time_budget)
     n = graph.vertex_count
@@ -154,12 +156,14 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
             f"search-consecutive for a consecutive-labeling witness")
     starts = (_first_vertex_representatives(graph) if symmetry_reduction
               else range(n))
+    dist = graph.distance_matrix(deadline)
+    if dist is None:
+        return _result(graph, TIMEOUT, None, None, 0)
     if not prune:
         return _enumerate_all(graph, set(starts), deadline)
 
     diam = graph.diameter()
     bound = diam + 1
-    dist = graph.distance_matrix()
     cost = [max(1, bound - max(row)) for row in dist]
     best_span = None
     best_order = None
@@ -244,15 +248,18 @@ def find_consecutive_ordering(graph: Graph,
     order strands the walk in a barren subtree.  The rule is fixed, so
     repeated runs return the identical witness.  Returns witness-found,
     exhausted-no-witness when the whole tree was explored, or timeout once
-    the budget, which starts on entry, runs out.  Raises TooLargeError
+    the budget, which starts on entry and also bounds the filling of a
+    flat graph's distance table, runs out.  Raises TooLargeError
     above the distance cache limit, graphs.DISTANCE_CACHE_LIMIT vertices,
     and InvalidParameterError for a budget that is negative, infinite or
     NaN.
     """
     deadline = _deadline(time_budget)
     n = graph.vertex_count
+    dist = graph.distance_matrix(deadline)
+    if dist is None:
+        return SearchResult(TIMEOUT, None, None, None, 0)
     diam = graph.diameter()
-    dist = graph.distance_matrix()
     examined = 0
     order = [0] * n
     used = [False] * n

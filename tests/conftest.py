@@ -25,6 +25,15 @@ def counted_edge_list(n: int, edges: list) -> str:
     return "\n".join([f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges])
 
 
+def relabelled(graph, seed: int):
+    """The graph with its vertices renumbered by a seeded permutation, and
+    that permutation: an edge list of it is read back flat."""
+    perm = list(range(graph.vertex_count))
+    random.Random(seed).shuffle(perm)
+    return build_graph(graph.vertex_count,
+                       [(perm[u], perm[v]) for u, v in graph.edges()]), perm
+
+
 def random_connected(n: int, extra_edges: int, rng: random.Random) -> Graph:
     """Random spanning tree plus extra random edges; always connected."""
     edges = {(rng.randrange(v), v) for v in range(1, n)}
@@ -56,7 +65,9 @@ def small_corpus() -> list:
 def kernel_corpus() -> list:
     """Named flat graphs and products covering each branch of the fast
     distance kernel: BFS rows, Hamming distance over complete factors, and
-    summed factor tables."""
+    summed factor tables.  The complete-factor products include sizes
+    that fill their packed bit field exactly (K_2, K_8), mixed sizes and
+    a K_1 factor."""
     k3 = complete(3)
     return [
         ("P5", path(5)),
@@ -70,4 +81,11 @@ def kernel_corpus() -> list:
         ("K1xC5", cartesian_product(complete(1), cycle(5))),
         ("K3^2x(P3xK2)", cartesian_product(
             cartesian_power(k3, 2), cartesian_product(path(3), complete(2)))),
+        ("K2^5", cartesian_power(complete(2), 5)),
+        ("K8^2", cartesian_power(complete(8), 2)),
+        ("K2xK3xK5", cartesian_product(cartesian_product(complete(2), k3),
+                                        complete(5))),
+        ("K8xK1xK2", cartesian_product(cartesian_product(complete(8),
+                                                          complete(1)),
+                                        complete(2))),
     ]

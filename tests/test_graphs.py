@@ -1,5 +1,6 @@
 import io
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (counted_edge_list, kernel_corpus, random_connected,
-                      small_corpus)
+                      relabelled, small_corpus)
 from radiolabel import (
     DisconnectedError,
     IndexOutOfRangeError,
@@ -141,6 +142,30 @@ def test_distance_function_matches_bfs():
         assert g.distance_matrix() == bfs, name
 
 
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=4).filter(
+    lambda sizes: math.prod(sizes) <= 512))
+def test_hamming_kernel_matches_bfs(sizes):
+    # products of complete factors, the packed-code branch; field widths
+    # from 1 to 4 bits, filled exactly or not, and K_1 factors
+    g = Graph._product([complete(size) for size in sizes])
+    dist = g._distance_function()
+    bfs = all_pairs_distances(g)
+    n = g.vertex_count
+    assert all(dist(u, v) == row[v] for u, row in enumerate(bfs)
+               for v in range(n))
+
+
+def test_flat_table_stops_at_the_deadline():
+    g = build_graph(10, PETERSEN_EDGES)
+    assert g.distance_matrix(time.monotonic() - 1) is None
+    # nothing half-built was kept: the table fills whole, once
+    table = g.distance_matrix(time.monotonic() + 60)
+    assert table == all_pairs_distances(g)
+    assert g.distance_matrix() is table
+    assert g.distance_matrix(time.monotonic() - 1) is table
+
+
 # ---------------------------------------------------------------------------
 # products and powers
 # ---------------------------------------------------------------------------
@@ -240,15 +265,6 @@ def test_power_of_one_vertex_graph_is_that_graph():
         tracemalloc.stop()
     assert power is k1 and power.vertex_count == 1
     assert peak < 1 << 20
-
-
-def relabelled(graph, seed: int):
-    """The graph with its vertices renumbered by a seeded permutation, and
-    that permutation: an edge list of it is read back flat."""
-    perm = list(range(graph.vertex_count))
-    random.Random(seed).shuffle(perm)
-    return build_graph(graph.vertex_count,
-                       [(perm[u], perm[v]) for u, v in graph.edges()]), perm
 
 
 def test_big_flat_graph_refuses_distance_cache():
@@ -521,7 +537,8 @@ def test_recognised_powers_keep_every_distance():
                    for u in range(n) for v in range(n)), name
         # the powers come back as products; products of distinct factors
         # have no prefix subgraph to be a power of, and stay flat
-        expected = {"K4^3": (4, 4, 4), "petersen^2": (10, 10)}.get(name)
+        expected = {"K4^3": (4, 4, 4), "petersen^2": (10, 10),
+                    "K2^5": (2,) * 5, "K8^2": (8, 8)}.get(name)
         assert again.factor_sizes == expected, name
 
 

@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import small_corpus, star
+from conftest import relabelled, small_corpus, star
 from radiolabel import (
     EXACT,
     EXHAUSTED,
@@ -379,6 +379,24 @@ def test_witness_budget_bounds_the_distance_table():
     result = find_consecutive_ordering(g, time_budget=0)
     assert result.status == TIMEOUT
     assert time.monotonic() - start < 0.5
+
+
+@pytest.mark.parametrize("search", ["witness", "exact"])
+def test_budget_bounds_a_flat_graph_table(search):
+    # a relabelled K_6^4 reads flat, so its 1296 rows are found by BFS;
+    # filling them all took about 2 s before the deadline was polled
+    # between rows
+    g, _ = relabelled(cartesian_power(complete(6), 4), 10)
+    n = g.vertex_count
+    assert g.factors is None
+    start = time.monotonic()
+    if search == "witness":
+        result = find_consecutive_ordering(g, time_budget=0)
+    else:
+        result = exact_radio_number(g, limit=n, time_budget=0)
+    assert time.monotonic() - start < 0.5
+    assert result.status == TIMEOUT
+    assert (result.span, result.ordering) == (None, None)
 
 
 def test_exact_budget_returns_an_upper_bound():
