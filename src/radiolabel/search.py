@@ -46,10 +46,16 @@ class SearchResult:
         }
 
 
-def _first_vertex_representatives(graph: Graph) -> list:
-    """The least vertex of each automorphism orbit, in increasing order."""
+def _first_vertex_representatives(graph: Graph,
+                                  deadline: float = math.inf
+                                  ) -> Optional[list]:
+    """The least vertex of each automorphism orbit, in increasing order,
+    or None once the monotonic clock passes deadline (read before each
+    vertex is tested)."""
     reps = []
     for v in range(graph.vertex_count):
+        if time.monotonic() > deadline:
+            return None
         if not any(_some_automorphism_maps(graph, r, v) for r in reps):
             reps.append(v)
     return reps
@@ -124,12 +130,23 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
 
     The pruned walk cuts a partial ordering once its last label plus a
     lower bound on the cost of the unplaced vertices reaches the best known
-    span.  An unplaced w placed right after any u gets a label at least
-    diam + 1 - d(u, w) >= diam + 1 - ecc(w) above u's, and at least 1, so
-    the bound is the sum of max(1, diam + 1 - ecc(w)) over the unplaced w
-    (the eccentricity argument Liu and Zhu use for paths and cycles, SIAM
-    J. Discrete Math. 19, 2005).  The walk is lexicographic and reaches a
-    leaf only when it strictly improves the best span, so the witness and
+    span; the bound is the larger of two.  Each step from u to the next
+    vertex w raises the label by at least diam + 1 - d(u, w), and by at
+    least 1.
+    - Eccentricity bound: d(u, w) <= ecc(w), so the sum of
+      max(1, diam + 1 - ecc(w)) over the unplaced w.
+    - Level bound: fix a centre c, the vertex of least total distance
+      (lowest index on ties), and let L(x) = d(c, x).  By the triangle
+      inequality through c, d(u, w) <= L(u) + L(w).  Summed over the r
+      steps after the last placed vertex v, the rest costs at least
+      r(diam + 1) - L(v) - 2 * (sum of L(w) over the unplaced w): each
+      unplaced vertex is an end of at most two of those steps, v of one.
+    The eccentricity argument is the one Liu and Zhu use for paths and
+    cycles, and the level sum the one they use for paths (SIAM J. Discrete
+    Math. 19, 2005) and Liu uses for trees ("Radio number for trees",
+    Discrete Math. 308, 2008).  Both sums are carried through the walk in
+    O(1) per move.  The walk is lexicographic and reaches a leaf only when
+    it strictly improves the best span, so the witness and
     orderings_examined are those of any other admissible bound.  With
     prune=False the search degenerates to plain enumeration of all |V|!
     orderings through the labeling module, kept as the cross-check oracle.
@@ -140,10 +157,11 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
     witness may then differ from the unreduced lexicographic one, so the
     flag defaults to off.
 
-    The time budget starts on entry and also bounds the filling of a flat
-    graph's distance table.  Once it runs out the search returns timeout
-    with the best ordering found so far, whose span is an upper bound on
-    the radio number, or with no ordering if none was completed.  Raises
+    The time budget starts on entry and also bounds the search for orbit
+    representatives and the filling of a flat graph's distance table.
+    Once it runs out the search returns timeout with the best ordering
+    found so far, whose span is an upper bound on the radio number, or
+    with no ordering if none was completed.  Raises
     InvalidParameterError for a budget that is negative, infinite or NaN,
     and TooLargeError above limit vertices or above the distance cache
     limit, graphs.DISTANCE_CACHE_LIMIT vertices.
@@ -154,9 +172,9 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
         raise TooLargeError(
             f"{n} vertices exceeds the exhaustive limit of {limit}; try "
             f"search-consecutive for a consecutive-labeling witness")
-    starts = (_first_vertex_representatives(graph) if symmetry_reduction
-              else range(n))
-    dist = graph.distance_matrix(deadline)
+    starts = (_first_vertex_representatives(graph, deadline)
+              if symmetry_reduction else range(n))
+    dist = graph.distance_matrix(deadline) if starts is not None else None
     if dist is None:
         return _result(graph, TIMEOUT, None, None, 0)
     if not prune:
@@ -165,6 +183,7 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
     diam = graph.diameter()
     bound = diam + 1
     cost = [max(1, bound - max(row)) for row in dist]
+    level = min(dist, key=sum)  # distances from the first central vertex
     best_span = None
     best_order = None
     examined = 0
@@ -173,8 +192,9 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
     used = [False] * n
     timed_out = False
 
-    def walk(depth: int, rest: int) -> None:
-        # rest is the sum of cost over the unplaced vertices
+    def walk(depth: int, rest: int, levels: int) -> None:
+        # rest and levels are the sums of cost and level over the unplaced
+        # vertices
         nonlocal best_span, best_order, examined, timed_out
         if depth == n:
             examined += 1
@@ -187,6 +207,8 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
             timed_out = True
             return
         prev = labels[depth - 1] if depth else 0
+        # the level bound on the steps after candidate v is reach + level[v]
+        reach = (n - depth - 1) * bound - 2 * levels
         for v in (starts if depth == 0 else range(n)):
             if used[v]:
                 continue
@@ -197,17 +219,19 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
                 if candidate > label:
                     label = candidate
             after = rest - cost[v]
-            if best_span is not None and label + after >= best_span:
+            if best_span is not None and (
+                    label + after >= best_span
+                    or label + reach + level[v] >= best_span):
                 continue
             order[depth] = v
             labels[depth] = label
             used[v] = True
-            walk(depth + 1, after)
+            walk(depth + 1, after, levels - level[v])
             used[v] = False
             if timed_out:
                 return
 
-    _run_deep(lambda: walk(0, sum(cost)), n)
+    _run_deep(lambda: walk(0, sum(cost), sum(level)), n)
     return _result(graph, TIMEOUT if timed_out else EXACT, best_span,
                    best_order, examined)
 

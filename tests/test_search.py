@@ -92,9 +92,12 @@ def liu_zhu_span(n: int) -> int:
     return (2 * k * k + 2 if odd else 2 * k * k - 2 * k + 1) + 1
 
 
-@pytest.mark.parametrize("n", range(4, 10))
+@pytest.mark.parametrize("n", range(4, 12))
 def test_path_spans_match_liu_zhu(n):
-    assert exact_radio_number(path(n)).span == liu_zhu_span(n)
+    # P_11 took about 10 s under the eccentricity bound alone; the level
+    # bound settles it in about 1 s
+    result = exact_radio_number(path(n), limit=n, time_budget=5)
+    assert (result.status, result.span) == (EXACT, liu_zhu_span(n))
 
 
 def one_per_step_walk(graph, starts) -> tuple:
@@ -400,7 +403,7 @@ def test_budget_bounds_a_flat_graph_table(search):
 
 
 def test_exact_budget_returns_an_upper_bound():
-    # P_12 takes tens of seconds to settle; the walk completes orderings
+    # P_12 takes several seconds to settle; the walk completes orderings
     # long before the budget runs out
     g = path(12)
     start = time.monotonic()
@@ -411,6 +414,19 @@ def test_exact_budget_returns_an_upper_bound():
     assert sorted(result.ordering) == list(range(12))
     assert result.labeling.span == result.span
     assert check_radio(g, result.labeling) == []
+
+
+@pytest.mark.parametrize("graph", [path(200), cycle(300)],
+                         ids=["P200", "C300"])
+def test_budget_bounds_the_symmetry_reduction(graph):
+    # finding the orbit representatives took about 15 s on P_200 and 2.5 s
+    # on C_300 before the deadline was polled between vertices
+    start = time.monotonic()
+    result = exact_radio_number(graph, limit=graph.vertex_count,
+                                symmetry_reduction=True, time_budget=0.2)
+    assert time.monotonic() - start < 1.0
+    assert (result.status, result.span, result.ordering) \
+        == (TIMEOUT, None, None)
 
 
 def test_exact_zero_budget_times_out_without_an_ordering():
