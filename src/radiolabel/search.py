@@ -49,53 +49,58 @@ class SearchResult:
 def _first_vertex_representatives(graph: Graph,
                                   deadline: float = math.inf
                                   ) -> Optional[list]:
-    """The least vertex of each automorphism orbit, in increasing order,
-    or None once the monotonic clock passes deadline (read before each
-    vertex is tested)."""
-    reps = []
+    """The least vertex of each automorphism orbit, in increasing order, or
+    None once the monotonic clock passes deadline while the cached table
+    graph.distance_matrix(deadline) fills or before a vertex is tested.  An
+    automorphism keeps distances, so v is backtracked against r only when
+    their sorted distance rows agree: a cheap invariant first (McKay and
+    Piperno, J. Symbolic Comput. 60, 2014)."""
+    dist = graph.distance_matrix(deadline)
+    if dist is None:
+        return None
+    profile = [sorted(row) for row in dist]
+    reps = {}  # each representative r: its test of r -> v
     for v in range(graph.vertex_count):
         if time.monotonic() > deadline:
             return None
-        if not any(_some_automorphism_maps(graph, r, v) for r in reps):
-            reps.append(v)
-    return reps
+        if not any(profile[r] == profile[v] and maps_r_to(v)
+                   for r, maps_r_to in reps.items()):
+            reps[v] = _automorphism_test(graph, dist, v)
+    return list(reps)
 
 
-def _some_automorphism_maps(graph: Graph, r: int, v: int) -> bool:
-    """Whether some automorphism sends r to v.
-
-    Backtracks over maps fixing r -> v, extended in BFS order from r: each
-    vertex goes to an unused neighbour of its BFS parent's image with the
-    same degree and the same adjacency to every vertex mapped before it.
-    """
+def _automorphism_test(graph: Graph, dist: list, r: int) -> Callable:
+    """The test of whether some automorphism sends r to v: a backtrack over
+    maps fixing r -> v, extended in order of distance from r, sorted once
+    per r.  Each vertex goes to a neighbour of its parent's image (its
+    parent is its least neighbour one step nearer r) of the same degree,
+    keeping its distance to every vertex mapped before it; a map that keeps
+    distances is one-to-one, and once onto, an automorphism."""
     adj = graph.adjacency
     n = graph.vertex_count
-    order, parent = [r], {r: r}
-    for u in order:
-        for w in adj[u]:
-            if w not in parent:
-                parent[w] = u
-                order.append(w)
+    from_r = dist[r]
+    order = sorted(range(n), key=from_r.__getitem__)
+    parent = {u: min(w for w in adj[u] if from_r[w] < from_r[u])
+              for u in order[1:]}
     image = [-1] * n
-    used = [False] * n
 
     def extend(i: int) -> bool:
         if i == n:
             return True
         u = order[i]
-        for w in (adj[image[parent[u]]] if i else (v,)):
-            if used[w] or len(adj[w]) != len(adj[u]):
-                continue
-            if any((x in adj[u]) != (image[x] in adj[w]) for x in order[:i]):
-                continue
-            image[u] = w
-            used[w] = True
-            if extend(i + 1):
-                return True
-            used[w] = False
+        for w in adj[image[parent[u]]]:
+            if len(adj[w]) == len(adj[u]) and all(
+                    dist[u][x] == dist[w][image[x]] for x in order[:i]):
+                image[u] = w
+                if extend(i + 1):
+                    return True
         return False
 
-    return extend(0)
+    def maps_r_to(v: int) -> bool:
+        image[r] = v
+        return _run_deep(lambda: extend(1), n)
+
+    return maps_r_to
 
 
 def _deadline(time_budget: float) -> float:
@@ -111,8 +116,8 @@ def _deadline(time_budget: float) -> float:
 
 
 def _run_deep(walk: Callable[[], object], depth: int):
-    """walk() with room for depth nested calls; both searches recurse once
-    per position.  The old recursion limit is put back after."""
+    """walk() with room for depth nested calls; the searches and the orbit
+    finder recurse once per position.  The old limit is put back after."""
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, depth + 100))
     try:
@@ -176,7 +181,7 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
               if symmetry_reduction else range(n))
     dist = graph.distance_matrix(deadline) if starts is not None else None
     if dist is None:
-        return _result(graph, TIMEOUT, None, None, 0)
+        return _result(graph, TIMEOUT, None, 0)
     if not prune:
         return _enumerate_all(graph, set(starts), deadline)
 
@@ -184,8 +189,7 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
     bound = diam + 1
     cost = [max(1, bound - max(row)) for row in dist]
     level = min(dist, key=sum)  # distances from the first central vertex
-    best_span = None
-    best_order = None
+    best_span, best_order = math.inf, None
     examined = 0
     order = [0] * n
     labels = [0] * n
@@ -199,7 +203,7 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
         if depth == n:
             examined += 1
             span = labels[depth - 1]
-            if best_span is None or span < best_span:
+            if span < best_span:
                 best_span = span
                 best_order = tuple(order)
             return
@@ -219,8 +223,7 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
                 if candidate > label:
                     label = candidate
             after = rest - cost[v]
-            if best_span is not None and (
-                    label + after >= best_span
+            if (label + after >= best_span
                     or label + reach + level[v] >= best_span):
                 continue
             order[depth] = v
@@ -232,32 +235,34 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
                 return
 
     _run_deep(lambda: walk(0, sum(cost), sum(level)), n)
-    return _result(graph, TIMEOUT if timed_out else EXACT, best_span,
-                   best_order, examined)
+    return _result(graph, TIMEOUT if timed_out else EXACT, best_order,
+                   examined)
 
 
 def _enumerate_all(graph: Graph, starts: set, deadline: float
                    ) -> SearchResult:
-    best_span = None
-    best_order = None
+    best_span, best_order = math.inf, None
     examined = 0
     for order in permutations(range(graph.vertex_count)):
         if time.monotonic() > deadline:
-            return _result(graph, TIMEOUT, best_span, best_order, examined)
+            return _result(graph, TIMEOUT, best_order, examined)
         if order[0] not in starts:
             continue
         examined += 1
         span = induced_labeling(graph, order).span
-        if best_span is None or span < best_span:
+        if span < best_span:
             best_span = span
             best_order = order
-    return _result(graph, EXACT, best_span, best_order, examined)
+    return _result(graph, EXACT, best_order, examined)
 
 
-def _result(graph: Graph, status: str, span: Optional[int],
-            order: Optional[tuple], examined: int) -> SearchResult:
+def _result(graph: Graph, status: str, order: Optional[tuple],
+            examined: int) -> SearchResult:
+    """The one place a SearchResult is built: order is the best or witness
+    ordering, or None, and the span and labels are those it induces."""
     labeling = induced_labeling(graph, order) if order is not None else None
-    return SearchResult(status, span, order, labeling, examined)
+    return SearchResult(status, labeling.span if labeling else None, order,
+                        labeling, examined)
 
 
 def find_consecutive_ordering(graph: Graph,
@@ -282,9 +287,8 @@ def find_consecutive_ordering(graph: Graph,
     n = graph.vertex_count
     dist = graph.distance_matrix(deadline)
     if dist is None:
-        return SearchResult(TIMEOUT, None, None, None, 0)
+        return _result(graph, TIMEOUT, None, 0)
     diam = graph.diameter()
-    examined = 0
     order = [0] * n
     used = [False] * n
     timed_out = False
@@ -296,9 +300,8 @@ def find_consecutive_ordering(graph: Graph,
         return True
 
     def extend(depth: int) -> Optional[tuple]:
-        nonlocal examined, timed_out
+        nonlocal timed_out
         if depth == n:
-            examined += 1
             return tuple(order)
         if time.monotonic() > deadline:
             timed_out = True
@@ -328,12 +331,9 @@ def find_consecutive_ordering(graph: Graph,
         return None
 
     witness = _run_deep(lambda: extend(0), n)
-    if witness is not None:
-        labeling = induced_labeling(graph, witness)
-        return SearchResult(WITNESS_FOUND, labeling.span, witness, labeling,
-                            examined)
-    status = TIMEOUT if timed_out else EXHAUSTED
-    return SearchResult(status, None, None, None, examined)
+    status = (WITNESS_FOUND if witness is not None
+              else TIMEOUT if timed_out else EXHAUSTED)
+    return _result(graph, status, witness, int(witness is not None))
 
 
 def verify_witness(graph: Graph, order) -> bool:

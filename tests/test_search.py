@@ -266,18 +266,40 @@ def test_symmetry_reduction_single_start_on_transitive_graphs():
     assert _first_vertex_representatives(complete(6)) == [0]
     assert _first_vertex_representatives(cycle(6)) == [0]
     assert _first_vertex_representatives(cube) == [0]
-    # the 4-path folds onto itself end to end
+    # a path folds onto itself end to end; on P_200 only mirror vertices
+    # share sorted distance rows, so the finder backtracks on 100 pairs
+    # (it took about 13 s when it backtracked on every pair)
     assert _first_vertex_representatives(path(4)) == [0, 1]
+    assert _first_vertex_representatives(path(200), time.monotonic() + 5) \
+        == list(range(100))
     assert _first_vertex_representatives(star(3)) == [0, 1]
     assert _first_vertex_representatives(petersen()) == [0]
 
 
 def test_orbit_representatives_match_permutation_scan():
+    # in "asym" the vertex pairs 0/4, 1/3 and 2/5 share sorted distance
+    # rows but no automorphism joins them, so the rows cannot decide alone
+    asym = build_graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4),
+                           (2, 4), (3, 5), (4, 5)])
     graphs = small_corpus() + [("C9", cycle(9)),
-                               ("P3xP3", cartesian_power(path(3), 2))]
+                               ("P3xP3", cartesian_power(path(3), 2)),
+                               ("asym", asym)]
     for name, g in graphs:
         assert _first_vertex_representatives(g) == orbit_minima_by_scan(g), \
             name
+
+
+def test_symmetry_reduction_runs_deeper_than_the_recursion_limit():
+    # the orbit backtracking recurses once per vertex: 1100 vertices need
+    # more than the default limit of 1000
+    before = sys.getrecursionlimit()
+    start = time.monotonic()
+    result = exact_radio_number(cycle(1100), limit=1100,
+                                symmetry_reduction=True, time_budget=1)
+    assert time.monotonic() - start < 3.0
+    assert (result.status, result.span, result.ordering) \
+        == (TIMEOUT, None, None)
+    assert sys.getrecursionlimit() == before
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +449,26 @@ def test_budget_bounds_the_symmetry_reduction(graph):
     assert time.monotonic() - start < 1.0
     assert (result.status, result.span, result.ordering) \
         == (TIMEOUT, None, None)
+
+
+def test_witness_budget_is_polled_inside_the_candidate_scan():
+    # all 2048 vertices of K_2^11 are candidates at the first position, and
+    # scoring their onward options took about 3 s without the poll
+    g = cartesian_power(complete(2), 11)
+    g.distance_matrix()
+    start = time.monotonic()
+    result = find_consecutive_ordering(g, time_budget=0.2)
+    assert time.monotonic() - start < 1.0
+    assert (result.status, result.ordering) == (TIMEOUT, None)
+
+
+def test_unpruned_enumeration_polls_the_budget():
+    # the 9! orderings of P_9 took about 8 s to enumerate
+    result = exact_radio_number(path(9), prune=False, time_budget=0.2)
+    assert result.status == TIMEOUT
+    assert result.span >= liu_zhu_span(9)
+    assert result.orderings_examined > 0
+    assert result.labeling.span == result.span
 
 
 def test_exact_zero_budget_times_out_without_an_ordering():
