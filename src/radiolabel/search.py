@@ -27,6 +27,8 @@ TIMEOUT = "timeout"
 DEFAULT_EXACT_LIMIT = 9
 DEFAULT_TIME_BUDGET = 30.0
 
+_BINARY = bytes.maketrans(b"\0\1", b"01")  # a row of bools -> base-2 digits
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -275,13 +277,26 @@ def find_consecutive_ordering(graph: Graph,
     options first, ties broken by vertex index; the guidance matters on
     instances like the hundred-vertex Petersen square, where plain index
     order strands the walk in a barren subtree.  The rule is fixed, so
-    repeated runs return the identical witness.  Returns witness-found,
-    exhausted-no-witness when the whole tree was explored, or timeout once
-    the budget, which starts on entry and also bounds the filling of a
-    flat graph's distance table, runs out.  Raises TooLargeError
-    above the distance cache limit, graphs.DISTANCE_CACHE_LIMIT vertices,
-    and InvalidParameterError for a budget that is negative, infinite or
-    NaN.
+    repeated runs return the identical witness.
+
+    The walk runs over bitsets held in Python ints, as in San Segundo,
+    Rodriguez-Losada and Jimenez's bit-parallel maximum-clique search
+    (Computers & Operations Research 38, 2011).  far(k, v) has bit w set
+    iff d(v, w) >= k; it is built from dist[v] at C speed on first use and
+    kept for this call only, since only the masks the walk touches are
+    ever needed (all n * diam of them would take n^2 * diam / 8 bytes).
+    The candidates at depth d are the unused vertices in far(diam - c + 1,
+    x_{d-c}) for every c <= min(diam, d).  A candidate v's onward options
+    are far(diam, v) ANDed with the same window one position on, which is
+    built once per node, so scoring v costs one AND and one popcount
+    instead of a scan of all n vertices.
+
+    Returns witness-found, exhausted-no-witness when the whole tree was
+    explored, or timeout once the budget, which starts on entry and also
+    bounds the filling of a flat graph's distance table, runs out.  Raises
+    TooLargeError above the distance cache limit,
+    graphs.DISTANCE_CACHE_LIMIT vertices, and InvalidParameterError for a
+    budget that is negative, infinite or NaN.
     """
     deadline = _deadline(time_budget)
     n = graph.vertex_count
@@ -290,47 +305,57 @@ def find_consecutive_ordering(graph: Graph,
         return _result(graph, TIMEOUT, None, 0)
     diam = graph.diameter()
     order = [0] * n
-    used = [False] * n
+    masks = {}  # k * n + v -> far(k, v), for this call only
     timed_out = False
 
-    def admissible(v: int, depth: int) -> bool:
-        for c in range(1, min(diam, depth) + 1):
-            if dist[order[depth - c]][v] < diam - c + 1:
-                return False
-        return True
+    def far(k: int, v: int) -> int:
+        # bit w set iff d(v, w) >= k
+        mask = masks.get(k * n + v)
+        if mask is None:
+            mask = masks[k * n + v] = int(bytes(
+                map(k.__le__, reversed(dist[v]))).translate(_BINARY), 2)
+        return mask
 
-    def extend(depth: int) -> Optional[tuple]:
+    def window(unused: int, depth: int, first: int) -> int:
+        # the unused vertices at distance >= diam - c + 1 from
+        # order[depth - c] for every c in first..min(diam, depth)
+        for c in range(first, min(diam, depth) + 1):
+            unused &= far(diam - c + 1, order[depth - c])
+        return unused
+
+    def extend(depth: int, unused: int) -> Optional[tuple]:
         nonlocal timed_out
         if depth == n:
             return tuple(order)
         if time.monotonic() > deadline:
             timed_out = True
             return None
+        candidates = window(unused, depth, 1)
+        # the window at depth + 1 without its c = 1 term, far(diam, v), which
+        # each candidate v placed here adds; far(diam, v) never holds v
+        # itself, as d(v, v) = 0 < diam unless the graph is K_1
+        onward_base = window(unused, depth + 1, 2)
         scored = []
-        for v in range(n):
-            if used[v] or not admissible(v, depth):
-                continue
-            # rescoring a wide candidate set can outlast the budget on its
-            # own, so the deadline is also polled inside the scan
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            v = low.bit_length() - 1
+            # a candidate's first mask costs O(n), so a wide candidate set
+            # can outlast the budget on its own: the deadline is also
+            # polled inside the scan
             if time.monotonic() > deadline:
                 timed_out = True
                 return None
-            order[depth] = v
-            onward = sum(1 for w in range(n)
-                         if not used[w] and w != v
-                         and admissible(w, depth + 1))
-            scored.append((onward, v))
+            scored.append(((far(diam, v) & onward_base).bit_count(), v))
         scored.sort()
         for _, v in scored:
             order[depth] = v
-            used[v] = True
-            found = extend(depth + 1)
-            used[v] = False
+            found = extend(depth + 1, unused & ~(1 << v))
             if found is not None or timed_out:
                 return found
         return None
 
-    witness = _run_deep(lambda: extend(0), n)
+    witness = _run_deep(lambda: extend(0, (1 << n) - 1), n)
     status = (WITNESS_FOUND if witness is not None
               else TIMEOUT if timed_out else EXHAUSTED)
     return _result(graph, status, witness, int(witness is not None))

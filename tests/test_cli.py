@@ -164,6 +164,26 @@ def test_search_consecutive(capsys, tmp_path):
     assert "exhausted-no-witness" in out
 
 
+def test_search_consecutive_finds_a_k5_power_witness(capsys, tmp_path):
+    # K_5^4 has 625 vertices; the witness search settles it in about 0.15 s
+    # (about 12 s when each candidate was rescored by a scan of every
+    # vertex)
+    k5 = str(tmp_path / "k5.txt")
+    power = str(tmp_path / "k5p4.txt")
+    for argv in (("builtin", "complete", "--n", "5", "--out", k5),
+                 ("power", k5, "--t", "4", "--out", power)):
+        assert run(capsys, *argv)[0] == 0, argv
+    code, out, err = run(capsys, "search-consecutive", power,
+                         "--budget", "10", "--format", "json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert (data["status"], data["span"]) == ("witness-found", 625)
+    labels = write(tmp_path, "labels.json",
+                   json.dumps({"labels": data["labels"]}))
+    assert run(capsys, "verify", power, labels) \
+        == (0, "valid for k=4, span 625\n", "")
+
+
 def test_threshold_params(capsys):
     code, out, _ = run(capsys, "threshold", "--n", "3", "--diam", "1",
                        "--t", "5")

@@ -6,7 +6,8 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import relabelled, small_corpus, star
+from conftest import (kernel_corpus, random_connected, relabelled,
+                      small_corpus, star)
 from radiolabel import (
     EXACT,
     EXHAUSTED,
@@ -306,6 +307,64 @@ def test_symmetry_reduction_runs_deeper_than_the_recursion_limit():
 # consecutive-labeling witnesses
 # ---------------------------------------------------------------------------
 
+def fewest_onward_walk(graph) -> tuple:
+    """(status, ordering) of the witness search by its scalar rule: every
+    vertex is tested against the window to find the candidates, and again
+    to count each candidate's onward options; the reference for the
+    bitset kernel."""
+    n = graph.vertex_count
+    dist = all_pairs_distances(graph)
+    diam = max(map(max, dist))
+    order, used = [0] * n, [False] * n
+
+    def admissible(v, depth):
+        return all(dist[order[depth - c]][v] >= diam - c + 1
+                   for c in range(1, min(diam, depth) + 1))
+
+    def extend(depth):
+        if depth == n:
+            return tuple(order)
+        scored = []
+        for v in range(n):
+            if used[v] or not admissible(v, depth):
+                continue
+            order[depth] = v
+            scored.append((sum(1 for w in range(n)
+                               if not used[w] and w != v
+                               and admissible(w, depth + 1)), v))
+        for _, v in sorted(scored):
+            order[depth], used[v] = v, True
+            found = extend(depth + 1)
+            used[v] = False
+            if found is not None:
+                return found
+        return None
+
+    witness = extend(0)
+    return (WITNESS_FOUND if witness is not None else EXHAUSTED), witness
+
+
+# P_300 has a window of 299 positions, K_1 one of none
+WITNESS_CORPUS = small_corpus() + kernel_corpus() + [
+    ("P300", path(300)), ("K1", complete(1))]
+
+
+@pytest.mark.parametrize("g", [g for _, g in WITNESS_CORPUS],
+                         ids=[name for name, _ in WITNESS_CORPUS])
+def test_witness_kernel_walks_like_the_scalar_rule(g):
+    result = find_consecutive_ordering(g, time_budget=30)
+    assert (result.status, result.ordering) == fewest_onward_walk(g)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 12), st.integers(0, 2 ** 32 - 1))
+def test_witness_kernel_walks_like_the_scalar_rule_on_random_graphs(
+        n, extra_edges, seed):
+    g = random_connected(n, extra_edges, random.Random(seed))
+    result = find_consecutive_ordering(g, time_budget=30)
+    assert (result.status, result.ordering) == fewest_onward_walk(g)
+
+
 def test_petersen_has_witness():
     result = find_consecutive_ordering(petersen(), time_budget=10)
     assert result.status == WITNESS_FOUND
@@ -442,23 +501,40 @@ def test_exact_budget_returns_an_upper_bound():
                          ids=["P200", "C300"])
 def test_budget_bounds_the_symmetry_reduction(graph):
     # finding the orbit representatives took about 15 s on P_200 and 2.5 s
-    # on C_300 before the deadline was polled between vertices
+    # on C_300 before the deadline was polled between vertices; with the
+    # table filled and no budget the finder's poll fires at its first
+    # vertex, however fast the host finishes the finder
+    graph.distance_matrix()
     start = time.monotonic()
     result = exact_radio_number(graph, limit=graph.vertex_count,
-                                symmetry_reduction=True, time_budget=0.2)
+                                symmetry_reduction=True, time_budget=0)
     assert time.monotonic() - start < 1.0
     assert (result.status, result.span, result.ordering) \
         == (TIMEOUT, None, None)
+    assert _first_vertex_representatives(graph, time.monotonic()) is None
 
 
 def test_witness_budget_is_polled_inside_the_candidate_scan():
-    # all 2048 vertices of K_2^11 are candidates at the first position, and
-    # scoring their onward options took about 3 s without the poll
-    g = cartesian_power(complete(2), 11)
+    # all 2187 vertices of K_3^7 are candidates at the first position, and
+    # the whole walk takes about 9 s: t = 7 reaches the threshold
+    # s(K_3) = 5, so the graph has no consecutive labeling
+    g = cartesian_power(complete(3), 7)
     g.distance_matrix()
     start = time.monotonic()
     result = find_consecutive_ordering(g, time_budget=0.2)
     assert time.monotonic() - start < 1.0
+    assert (result.status, result.ordering) == (TIMEOUT, None)
+
+
+def test_witness_budget_bounds_the_first_scan_at_the_cache_limit():
+    # K_4^6 has 4096 vertices, the most the distance cache holds; the first
+    # scan builds a mask per vertex from its 4096-entry row, which took
+    # about 0.85 s without the poll inside the scan
+    g = cartesian_power(complete(4), 6)
+    g.distance_matrix()
+    start = time.monotonic()
+    result = find_consecutive_ordering(g, time_budget=0.05)
+    assert time.monotonic() - start < 0.5
     assert (result.status, result.ordering) == (TIMEOUT, None)
 
 
