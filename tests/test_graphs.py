@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (counted_edge_list, kernel_corpus, random_connected,
                       relabelled, small_corpus)
+from radiolabel import graphs
 from radiolabel import (
     DisconnectedError,
     IndexOutOfRangeError,
@@ -550,12 +551,13 @@ def test_recognition_prefers_complete_factors():
     assert all(f.is_complete() for f in g.factors)
 
 
-def test_recognised_power_shares_the_parsed_adjacency():
+def test_recognised_power_holds_no_adjacency_until_asked():
     g = parse_edge_list(format_edge_list(cartesian_power(path(3), 3)))
     assert g.factor_sizes == (3, 3, 3)
-    assert g.edges() == cartesian_power(path(3), 3).edges()
     # the repr counts edges only when the adjacency is already held
-    assert g.diameter() == 6 and repr(g) == "Graph(vertices=27, edges=54)"
+    assert g.diameter() == 6 and repr(g) == "Graph(vertices=27, factors=3)"
+    assert g.edges() == cartesian_power(path(3), 3).edges()
+    assert repr(g) == "Graph(vertices=27, edges=54)"
 
 
 def test_recognition_ignores_the_size_cap(monkeypatch):
@@ -590,9 +592,25 @@ def test_duplicate_edge_is_reported_before_recognition():
         parse_edge_list("4 5\n0 1\n0 2\n1 3\n2 3\n1 0\n")
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("base, t", [(complete(3), 2), (path(3), 2),
+                                     (complete(2), 3), (complete(4), 3)],
+                         ids=["K3^2", "P3^2", "K2^3", "K4^3"])
+def test_power_file_with_a_repeated_edge_is_not_a_power(base, t, reverse):
+    # the last edge replaced by the one before, outside the factor F on
+    # the first vertices: the edge count and every distance still fit
+    # F^t, and only the repeat tells the file apart
+    lines = format_edge_list(cartesian_power(base, t)).splitlines()
+    u, v = lines[-2].split()
+    lines[-1] = f"{v} {u}" if reverse else lines[-2]
+    with pytest.raises(InvalidParameterError, match=(
+            rf"^line {len(lines)}: duplicate edge {lines[-1]}$")):
+        parse_edge_list("\n".join(lines) + "\n")
+
+
 def test_recognition_builds_no_product_adjacency(monkeypatch):
-    # the candidate F^t is checked through its distance kernel, edge by
-    # parsed edge; its own adjacency is never materialised
+    # the candidate F^t is checked through its distance kernel, pair by
+    # parsed pair; its adjacency is materialised only when asked for
     powers = [cartesian_power(complete(4), 3), cartesian_power(path(3), 3),
               cartesian_power(petersen(), 2)]
     expected = [(g.factor_sizes, format_edge_list(g)) for g in powers]
@@ -601,8 +619,9 @@ def test_recognition_builds_no_product_adjacency(monkeypatch):
         raise AssertionError("product adjacency materialised")
 
     monkeypatch.setattr(Graph, "_materialize_product_adjacency", refuse)
-    for sizes, text in expected:
-        again = parse_edge_list(text)
+    parsed = [parse_edge_list(text) for _, text in expected]
+    monkeypatch.undo()
+    for again, (sizes, text) in zip(parsed, expected):
         assert again.factor_sizes == sizes
         assert format_edge_list(again) == text
 
@@ -655,3 +674,127 @@ def test_only_exact_powers_are_recognised(case):
         factor = g.factors[0]
         assert all(f is factor for f in g.factors)
         assert power_edges(factor.edges(), sizes[0], len(sizes)) == wanted
+
+
+# ---------------------------------------------------------------------------
+# the one-split tokeniser against the line walk
+# ---------------------------------------------------------------------------
+
+def parse_outcome(parse, text):
+    try:
+        g = parse(text)
+    except RadioLabelError as exc:
+        return type(exc), str(exc)
+    return g.vertex_count, g.edges(), g.factor_sizes
+
+
+def parse_by_line_walk(text):
+    """parse_edge_list with every text tokenised line by line."""
+    return graphs._graph_from_tokens(text, graphs._line_tokens(text))
+
+
+WHITESPACE_LINES = ("", " ", "\t ", "\x0c", "\x1c", "\xa0", "\u2028")
+# between the tokens of a line: str.split() separators, all but the
+# first two of them line breaks to str.splitlines()
+SEPARATORS = ("\t", "\xa0", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
+# fullwidth digits, which int() reads
+NON_ASCII_DIGITS = str.maketrans("0123456789",
+                                 "".join(map(chr, range(0xFF10, 0xFF1A))))
+
+
+@st.composite
+def mutated_power_files(draw):
+    """An edge-list file of a small power F^t with one mutation: a token
+    moved onto the line above, other line ends, blank lines, no final
+    newline, other whitespace between two tokens, tokens that int() reads
+    but are not ASCII digits, or an edge line made a duplicate, a
+    self-loop or out of range."""
+    g = cartesian_power(draw(POWER_BASES), draw(st.integers(2, 3)))
+    n = g.vertex_count
+    lines = format_edge_list(g).splitlines()
+    i = draw(st.integers(1, len(lines) - 1))  # an edge line
+    u, v = lines[i].split()
+    sep = end = "\n"
+    kind = draw(st.sampled_from((
+        "3+1", "crlf", "cr", "blank", "no-final-newline", "separator",
+        "plus", "underscore", "non-ascii", "duplicate", "self-loop",
+        "range")))
+    if kind == "3+1":  # two lines of three and one tokens
+        a, b = lines[i - 1].split()
+        lines[i - 1:i + 1] = [f"{a} {b} {u}", v]
+    elif kind in ("crlf", "cr"):
+        sep = end = "\r\n" if kind == "crlf" else "\r"
+    elif kind == "blank":
+        lines.insert(i, draw(st.sampled_from(WHITESPACE_LINES)))
+    elif kind == "no-final-newline":
+        end = ""
+    elif kind == "separator":
+        lines[i] = f"{u}{draw(st.sampled_from(SEPARATORS))}{v}"
+    elif kind == "plus":
+        lines[i] = f"+{u} {v}"
+    elif kind == "underscore":
+        lines[i] = f"{u[0]}_{u[1:] or 0} {v}"
+    elif kind == "non-ascii":
+        lines[i] = lines[i].translate(NON_ASCII_DIGITS)
+    elif kind == "duplicate":  # another edge's line, in either orientation
+        j = draw(st.integers(1, len(lines) - 1).filter(lambda j: j != i))
+        x, y = lines[j].split()
+        lines[i] = draw(st.sampled_from((f"{x} {y}", f"{y} {x}")))
+    elif kind == "self-loop":
+        lines[i] = f"{u} {u}"
+    else:
+        lines[i] = f"{u} {n + draw(st.integers(0, 2))}"
+    return sep.join(lines) + end
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(EDGE_TEXTS)
+def test_one_split_tokeniser_parses_like_the_line_walk(text):
+    # same graph, factorisation and error, message and line included
+    assert (parse_outcome(parse_edge_list, text)
+            == parse_outcome(parse_by_line_walk, text))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(mutated_power_files())
+def test_one_split_tokeniser_reads_power_files_like_the_line_walk(text):
+    assert (parse_outcome(parse_edge_list, text)
+            == parse_outcome(parse_by_line_walk, text))
+
+
+def test_three_and_one_token_lines_name_their_line():
+    # an even token count does not make a file of 'u v' lines
+    with pytest.raises(InvalidParameterError,
+                       match=r"line 1: expected 'n m', got '1 2 3'"):
+        parse_edge_list("1 2 3\n4 5 6\n")
+    with pytest.raises(InvalidParameterError,
+                       match=r"line 2: expected 'u v', got '0 1 0'"):
+        parse_edge_list("3 2\n0 1 0\n2\n")
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_power_files_skip_the_line_walk(monkeypatch, n):
+    text = format_edge_list(cartesian_power(complete(n), 3))
+
+    def refuse(text):
+        raise AssertionError("line walk on a file of 'u v' lines")
+
+    monkeypatch.setattr(graphs, "_content_lines", refuse)
+    g = parse_edge_list(text)
+    assert g.factor_sizes == (n, n, n)
+    monkeypatch.undo()
+    assert format_edge_list(g) == text
+
+
+def test_parsed_power_keeps_no_adjacency():
+    # K_6^4: 1296 vertices, 12960 edges; frozensets of the parsed
+    # adjacency kept about 2.2 MiB
+    text = format_edge_list(cartesian_power(complete(6), 4))
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.factor_sizes == (6,) * 4
+    assert kept < 100_000
