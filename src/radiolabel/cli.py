@@ -237,8 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-prune", action="store_true",
                    help="plain enumeration of all orderings")
     p.add_argument("--symmetry-reduction", action="store_true",
-                   help="start only from one vertex per automorphism class "
-                        "(same optimum, possibly a different witness)")
+                   help="skip starts proved to share an automorphism orbit "
+                        "with a smaller start (same span, witness and "
+                        "labels; fewer orderings examined)")
     _budget_flag(p)
     _format_flag(p)
     p.set_defaults(handler=_cmd_radio_number)

@@ -13,7 +13,7 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import InvalidParameterError, TooLargeError
 from .graphs import Graph
@@ -48,36 +48,45 @@ class SearchResult:
         }
 
 
-def _first_vertex_representatives(graph: Graph,
+def _first_vertex_representatives(graph: Graph, dist: list,
                                   deadline: float = math.inf
-                                  ) -> Optional[list]:
-    """The least vertex of each automorphism orbit, in increasing order, or
-    None once the monotonic clock passes deadline while the cached table
-    graph.distance_matrix(deadline) fills or before a vertex is tested.  An
-    automorphism keeps distances, so v is backtracked against r only when
-    their sorted distance rows agree: a cheap invariant first (McKay and
-    Piperno, J. Symbolic Comput. 60, 2014)."""
-    dist = graph.distance_matrix(deadline)
-    if dist is None:
-        return None
-    profile = [sorted(row) for row in dist]
-    reps = {}  # each representative r: its test of r -> v
-    for v in range(graph.vertex_count):
+                                  ) -> Iterator[int]:
+    """Every vertex in increasing order, except those proved to lie in the
+    automorphism orbit of a vertex yielded before them; dist is the graph's
+    distance table.  A vertex is tested only when the next one is asked
+    for.  An automorphism keeps distances, so v is backtracked against r
+    only when their sorted distance rows agree: a cheap invariant first
+    (McKay and Piperno, J. Symbolic Comput. 60, 2014).
+
+    Once the monotonic clock passes deadline nothing more is proved and
+    the remaining vertices are yielded untested.  Yielding a vertex that
+    shares an orbit with an earlier one is always safe for the exact
+    search: its lexicographically first optimum starts at the least vertex
+    of an orbit, or an automorphism would carry it to a smaller optimum,
+    and this filter never skips an orbit's least vertex."""
+    n = graph.vertex_count
+    reps = []  # (sorted distance row of r, the test of r -> v)
+    for v in range(n):
         if time.monotonic() > deadline:
-            return None
-        if not any(profile[r] == profile[v] and maps_r_to(v)
-                   for r, maps_r_to in reps.items()):
-            reps[v] = _automorphism_test(graph, dist, v)
-    return list(reps)
+            yield from range(v, n)
+            return
+        profile = sorted(dist[v])
+        if not any(key == profile and maps_r_to(v)
+                   for key, maps_r_to in reps):
+            reps.append((profile, _automorphism_test(graph, dist, v,
+                                                     deadline)))
+            yield v
 
 
-def _automorphism_test(graph: Graph, dist: list, r: int) -> Callable:
+def _automorphism_test(graph: Graph, dist: list, r: int,
+                       deadline: float = math.inf) -> Callable:
     """The test of whether some automorphism sends r to v: a backtrack over
     maps fixing r -> v, extended in order of distance from r, sorted once
     per r.  Each vertex goes to a neighbour of its parent's image (its
     parent is its least neighbour one step nearer r) of the same degree,
     keeping its distance to every vertex mapped before it; a map that keeps
-    distances is one-to-one, and once onto, an automorphism."""
+    distances is one-to-one, and once onto, an automorphism.  Past the
+    monotonic deadline the backtrack gives up and answers False."""
     adj = graph.adjacency
     n = graph.vertex_count
     from_r = dist[r]
@@ -89,6 +98,8 @@ def _automorphism_test(graph: Graph, dist: list, r: int) -> Callable:
     def extend(i: int) -> bool:
         if i == n:
             return True
+        if time.monotonic() > deadline:
+            return False
         u = order[i]
         for w in adj[image[parent[u]]]:
             if len(adj[w]) == len(adj[u]) and all(
@@ -96,6 +107,10 @@ def _automorphism_test(graph: Graph, dist: list, r: int) -> Callable:
                 image[u] = w
                 if extend(i + 1):
                     return True
+                # a failed subtree may have run out the budget: unwinding
+                # must not try the remaining candidates
+                if time.monotonic() > deadline:
+                    return False
         return False
 
     def maps_r_to(v: int) -> bool:
@@ -158,17 +173,23 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
     prune=False the search degenerates to plain enumeration of all |V|!
     orderings through the labeling module, kept as the cross-check oracle.
 
-    symmetry_reduction restricts the first position to one vertex per
-    automorphism class.  The optimum is unaffected (an automorphism carries
-    any optimal ordering to one starting at a representative), but the
-    witness may then differ from the unreduced lexicographic one, so the
-    flag defaults to off.
+    symmetry_reduction skips, at the first position, each vertex proved to
+    share an automorphism orbit with a smaller start; the orbits are
+    tested lazily, as the walk asks for its next start.  Span, witness and
+    labels are unchanged: the lexicographically first optimum starts at
+    the least vertex of its orbit, since an automorphism sending its start
+    to a smaller vertex would carry it to a smaller optimum.  Only
+    orderings_examined drops, when the search completes.  With prune=False
+    the flag is ignored, so the oracle stays independent of the orbit
+    test.  The flag defaults to off because an orbit test costs O(|V|^3)
+    on a graph with many twins, such as a star, where the bounds alone
+    settle the search.
 
-    The time budget starts on entry and also bounds the search for orbit
-    representatives and the filling of a flat graph's distance table.
-    Once it runs out the search returns timeout with the best ordering
-    found so far, whose span is an upper bound on the radio number, or
-    with no ordering if none was completed.  Raises
+    The time budget starts on entry and also bounds the orbit tests and
+    the filling of a flat graph's distance table.  Once it runs out the
+    search returns timeout with the best ordering found so far, whose
+    span is an upper bound on the radio number, or with no ordering if
+    none was completed.  Raises
     InvalidParameterError for a budget that is negative, infinite or NaN,
     and TooLargeError above limit vertices or above the distance cache
     limit, graphs.DISTANCE_CACHE_LIMIT vertices.
@@ -179,18 +200,18 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
         raise TooLargeError(
             f"{n} vertices exceeds the exhaustive limit of {limit}; try "
             f"search-consecutive for a consecutive-labeling witness")
-    starts = (_first_vertex_representatives(graph, deadline)
-              if symmetry_reduction else range(n))
-    dist = graph.distance_matrix(deadline) if starts is not None else None
+    dist = graph.distance_matrix(deadline)
     if dist is None:
         return _result(graph, TIMEOUT, None, 0)
     if not prune:
-        return _enumerate_all(graph, set(starts), deadline)
+        return _enumerate_all(graph, deadline)
 
     diam = graph.diameter()
     bound = diam + 1
     cost = [max(1, bound - max(row)) for row in dist]
     level = min(dist, key=sum)  # distances from the first central vertex
+    starts = (_first_vertex_representatives(graph, dist, deadline)
+              if symmetry_reduction else range(n))
     best_span, best_order = math.inf, None
     examined = 0
     order = [0] * n
@@ -241,15 +262,12 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
                    examined)
 
 
-def _enumerate_all(graph: Graph, starts: set, deadline: float
-                   ) -> SearchResult:
+def _enumerate_all(graph: Graph, deadline: float) -> SearchResult:
     best_span, best_order = math.inf, None
     examined = 0
     for order in permutations(range(graph.vertex_count)):
         if time.monotonic() > deadline:
             return _result(graph, TIMEOUT, best_order, examined)
-        if order[0] not in starts:
-            continue
         examined += 1
         span = induced_labeling(graph, order).span
         if span < best_span:

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import time
@@ -18,6 +19,7 @@ from radiolabel import (
     all_pairs_distances,
     build_graph,
     cartesian_power,
+    cartesian_product,
     check_radio,
     complete,
     cycle,
@@ -29,7 +31,13 @@ from radiolabel import (
     petersen,
     verify_witness,
 )
-from radiolabel.search import _first_vertex_representatives
+from radiolabel.search import (_automorphism_test,
+                               _first_vertex_representatives)
+
+
+def representatives(graph, deadline=math.inf) -> list:
+    return list(_first_vertex_representatives(
+        graph, graph.distance_matrix(), deadline))
 
 
 def orbit_minima_by_scan(graph) -> list:
@@ -166,7 +174,7 @@ def bound_corpus() -> list:
 def test_eccentricity_bound_walks_like_the_one_per_step_bound(
         symmetry_reduction):
     for name, g in bound_corpus():
-        starts = (_first_vertex_representatives(g) if symmetry_reduction
+        starts = (representatives(g) if symmetry_reduction
                   else range(g.vertex_count))
         result = exact_radio_number(g, symmetry_reduction=symmetry_reduction)
         assert result.status == EXACT, name
@@ -190,9 +198,9 @@ def small_connected_graphs(draw):
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(small_connected_graphs(), st.booleans())
 def test_pruned_equals_unpruned_on_random_graphs(g, symmetry_reduction):
+    # the oracle is the full enumeration, whatever the pruned side skips
     pruned = exact_radio_number(g, symmetry_reduction=symmetry_reduction)
-    unpruned = exact_radio_number(g, prune=False,
-                                  symmetry_reduction=symmetry_reduction)
+    unpruned = exact_radio_number(g, prune=False)
     assert (pruned.status, pruned.span, pruned.ordering, pruned.labeling) \
         == (unpruned.status, unpruned.span, unpruned.ordering,
             unpruned.labeling)
@@ -250,12 +258,32 @@ def test_unpruned_counts_every_ordering():
     assert exact_radio_number(path(3), prune=False).orderings_examined == 6
 
 
+def test_unpruned_enumeration_never_tests_orbits(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle called the orbit filter")
+
+    monkeypatch.setattr("radiolabel.search._first_vertex_representatives",
+                        refuse)
+    result = exact_radio_number(cycle(4), prune=False,
+                                symmetry_reduction=True)
+    assert (result.status, result.span, result.orderings_examined) \
+        == (EXACT, 5, 24)
+
+
 def test_symmetry_reduction_preserves_optimum():
-    from radiolabel import check_radio
-    for name, g in small_corpus():
-        reduced = exact_radio_number(g, symmetry_reduction=True)
-        full = exact_radio_number(g)
-        assert reduced.span == full.span, name
+    # the lexicographically first optimum starts at the least vertex of
+    # its orbit, so skipping the other starts changes only the count
+    graphs = bound_corpus() + [
+        ("C10", cycle(10)),
+        ("K3xP3", cartesian_product(complete(3), path(3)))]
+    for name, g in graphs:
+        n = g.vertex_count
+        reduced = exact_radio_number(g, limit=n, symmetry_reduction=True)
+        full = exact_radio_number(g, limit=n)
+        assert (reduced.status, reduced.span, reduced.ordering,
+                reduced.labeling) == (full.status, full.span, full.ordering,
+                                      full.labeling), name
+        assert reduced.status == EXACT, name
         assert check_radio(g, reduced.labeling) == [], name
 
 
@@ -264,17 +292,17 @@ def test_symmetry_reduction_single_start_on_transitive_graphs():
     cube = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0),
                            (4, 5), (5, 6), (6, 7), (7, 4),
                            (0, 4), (1, 5), (2, 6), (3, 7)])
-    assert _first_vertex_representatives(complete(6)) == [0]
-    assert _first_vertex_representatives(cycle(6)) == [0]
-    assert _first_vertex_representatives(cube) == [0]
+    assert representatives(complete(6)) == [0]
+    assert representatives(cycle(6)) == [0]
+    assert representatives(cube) == [0]
     # a path folds onto itself end to end; on P_200 only mirror vertices
     # share sorted distance rows, so the finder backtracks on 100 pairs
     # (it took about 13 s when it backtracked on every pair)
-    assert _first_vertex_representatives(path(4)) == [0, 1]
-    assert _first_vertex_representatives(path(200), time.monotonic() + 5) \
+    assert representatives(path(4)) == [0, 1]
+    assert representatives(path(200), time.monotonic() + 5) \
         == list(range(100))
-    assert _first_vertex_representatives(star(3)) == [0, 1]
-    assert _first_vertex_representatives(petersen()) == [0]
+    assert representatives(star(3)) == [0, 1]
+    assert representatives(petersen()) == [0]
 
 
 def test_orbit_representatives_match_permutation_scan():
@@ -286,20 +314,24 @@ def test_orbit_representatives_match_permutation_scan():
                                ("P3xP3", cartesian_power(path(3), 2)),
                                ("asym", asym)]
     for name, g in graphs:
-        assert _first_vertex_representatives(g) == orbit_minima_by_scan(g), \
-            name
+        assert representatives(g) == orbit_minima_by_scan(g), name
 
 
 def test_symmetry_reduction_runs_deeper_than_the_recursion_limit():
     # the orbit backtracking recurses once per vertex: 1100 vertices need
     # more than the default limit of 1000
     before = sys.getrecursionlimit()
+    g = cycle(1100)
+    assert _automorphism_test(g, g.distance_matrix(), 0)(1) is True
+    assert sys.getrecursionlimit() == before
+    # the first start is never tested, and its subtree outlasts the budget
     start = time.monotonic()
-    result = exact_radio_number(cycle(1100), limit=1100,
-                                symmetry_reduction=True, time_budget=1)
+    result = exact_radio_number(g, limit=1100, symmetry_reduction=True,
+                                time_budget=1)
     assert time.monotonic() - start < 3.0
-    assert (result.status, result.span, result.ordering) \
-        == (TIMEOUT, None, None)
+    assert result.status == TIMEOUT
+    assert sorted(result.ordering) == list(range(1100))
+    assert result.labeling.span == result.span
     assert sys.getrecursionlimit() == before
 
 
@@ -499,19 +531,51 @@ def test_exact_budget_returns_an_upper_bound():
 
 @pytest.mark.parametrize("graph", [path(200), cycle(300)],
                          ids=["P200", "C300"])
-def test_budget_bounds_the_symmetry_reduction(graph):
+def test_budget_bounds_the_symmetry_reduction(graph, monkeypatch):
     # finding the orbit representatives took about 15 s on P_200 and 2.5 s
     # on C_300 before the deadline was polled between vertices; with the
-    # table filled and no budget the finder's poll fires at its first
-    # vertex, however fast the host finishes the finder
-    graph.distance_matrix()
+    # table filled and no budget the walk's poll fires before its first
+    # start, however fast the host would test the orbits
+    dist = graph.distance_matrix()
     start = time.monotonic()
     result = exact_radio_number(graph, limit=graph.vertex_count,
                                 symmetry_reduction=True, time_budget=0)
     assert time.monotonic() - start < 1.0
     assert (result.status, result.span, result.ordering) \
         == (TIMEOUT, None, None)
-    assert _first_vertex_representatives(graph, time.monotonic()) is None
+
+    # an expired deadline yields every vertex, and tests none
+    def refuse(*args):
+        raise AssertionError("an orbit test ran past the deadline")
+
+    monkeypatch.setattr("radiolabel.search._automorphism_test", refuse)
+    assert list(_first_vertex_representatives(
+        graph, dist, time.monotonic() - 1)) == list(range(graph.vertex_count))
+
+
+def test_budget_bounds_each_orbit_test():
+    # a star's leaves are twins, and one orbit test costs O(n^3): at 600
+    # leaves the search ran 3-4 s on a 1-s budget when the backtrack
+    # did not poll the deadline, and returned no ordering.  Past the
+    # deadline the remaining starts are yielded untested and the bounds
+    # cut each of them at the first position, so the answer is exact
+    g = star(600)
+    start = time.monotonic()
+    result = exact_radio_number(g, limit=601, symmetry_reduction=True,
+                                time_budget=1)
+    assert time.monotonic() - start < 2.0
+    assert (result.status, result.span) == (EXACT, 602)
+
+
+def test_symmetry_reduction_times_out_with_an_upper_bound():
+    # the orbit pre-pass used to spend the whole budget on C_300 and
+    # return no ordering; the first start needs no test
+    g = cycle(300)
+    result = exact_radio_number(g, limit=300, symmetry_reduction=True,
+                                time_budget=0.5)
+    assert result.status == TIMEOUT
+    assert sorted(result.ordering) == list(range(300))
+    assert check_radio(g, result.labeling) == []
 
 
 def test_witness_budget_is_polled_inside_the_candidate_scan():
