@@ -92,7 +92,7 @@ class Graph:
     their adjacency is materialized lazily on first access.
     """
 
-    __slots__ = ("_n", "_adjacency", "_factors", "_sizes", "_dist")
+    __slots__ = ("_n", "_adjacency", "_factors", "_sizes", "_dist", "_diam")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple]):
         self._n = vertex_count
@@ -101,6 +101,7 @@ class Graph:
         self._factors: Optional[tuple] = None
         self._sizes: Optional[tuple] = None
         self._dist: Optional[DistanceMatrix] = None
+        self._diam: Optional[int] = None
         unreached = bfs_distances(self, 0).count(-1)
         if unreached:
             raise DisconnectedError(
@@ -116,6 +117,7 @@ class Graph:
         g._adjacency = None
         g._factors = tuple(factors)
         g._dist = None
+        g._diam = None
         return g
 
     @property
@@ -236,9 +238,14 @@ class Graph:
         return lambda u, v: sum(map(at, map(at, tables, coords[u]), coords[v]))
 
     def diameter(self) -> int:
-        if self._factors is not None:
-            return sum(f.diameter() for f in self._factors)
-        return max(map(max, self.distance_matrix()))
+        """Computed on the first call and kept: on a flat graph it is a
+        scan of the whole distance table.  Threads that race on the first
+        call store the same value."""
+        if self._diam is None:
+            self._diam = (sum(f.diameter() for f in self._factors)
+                          if self._factors is not None
+                          else max(map(max, self.distance_matrix())))
+        return self._diam
 
     def is_complete(self) -> bool:
         return self._n == 1 or self.diameter() == 1

@@ -4,12 +4,16 @@ The exact search walks orderings in lexicographic order and reports the
 lexicographically smallest optimum; the witness search follows a fixed
 fewest-onward-options rule.  Either way, repeated runs return identical
 results.
+
+Every walk, the orbit backtrack of the symmetry reduction included, is a
+loop over per-depth state with one level per vertex, so its depth is not
+bound by the interpreter's recursion limit.  No search keeps or writes
+process-wide state: searches may run in several threads at once.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass
 from itertools import permutations
@@ -85,8 +89,9 @@ def _automorphism_test(graph: Graph, dist: list, r: int,
     per r.  Each vertex goes to a neighbour of its parent's image (its
     parent is its least neighbour one step nearer r) of the same degree,
     keeping its distance to every vertex mapped before it; a map that keeps
-    distances is one-to-one, and once onto, an automorphism.  Past the
-    monotonic deadline the backtrack gives up and answers False."""
+    distances is one-to-one, and once onto, an automorphism.  The
+    backtrack is a loop with one level per vertex, polling the monotonic
+    clock at each; past the deadline it gives up and answers False."""
     adj = graph.adjacency
     n = graph.vertex_count
     from_r = dist[r]
@@ -95,27 +100,27 @@ def _automorphism_test(graph: Graph, dist: list, r: int,
               for u in order[1:]}
     image = [-1] * n
 
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        if time.monotonic() > deadline:
-            return False
-        u = order[i]
-        for w in adj[image[parent[u]]]:
-            if len(adj[w]) == len(adj[u]) and all(
-                    dist[u][x] == dist[w][image[x]] for x in order[:i]):
-                image[u] = w
-                if extend(i + 1):
-                    return True
-                # a failed subtree may have run out the budget: unwinding
-                # must not try the remaining candidates
-                if time.monotonic() > deadline:
-                    return False
-        return False
-
     def maps_r_to(v: int) -> bool:
         image[r] = v
-        return _run_deep(lambda: extend(1), n)
+        # per position i: the images of order[i] not yet tried; order[1]
+        # is a neighbour of r, so its images are the neighbours of v
+        tries = [None, iter(adj[v])] + [None] * (n - 2)
+        i = 1
+        while 0 < i < n:
+            if time.monotonic() > deadline:
+                return False
+            u = order[i]
+            for w in tries[i]:
+                if len(adj[w]) == len(adj[u]) and all(
+                        dist[u][x] == dist[w][image[x]] for x in order[:i]):
+                    image[u] = w
+                    i += 1
+                    if i < n:
+                        tries[i] = iter(adj[image[parent[order[i]]]])
+                    break
+            else:
+                i -= 1
+        return i == n
 
     return maps_r_to
 
@@ -130,17 +135,6 @@ def _deadline(time_budget: float) -> float:
         raise InvalidParameterError(
             f"time budget {time_budget} must be finite seconds >= 0")
     return time.monotonic() + time_budget
-
-
-def _run_deep(walk: Callable[[], object], depth: int):
-    """walk() with room for depth nested calls; the searches and the orbit
-    finder recurse once per position.  The old limit is put back after."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, depth + 100))
-    try:
-        return walk()
-    finally:
-        sys.setrecursionlimit(limit)
 
 
 def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
@@ -166,8 +160,8 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
     The eccentricity argument is the one Liu and Zhu use for paths and
     cycles, and the level sum the one they use for paths (SIAM J. Discrete
     Math. 19, 2005) and Liu uses for trees ("Radio number for trees",
-    Discrete Math. 308, 2008).  Both sums are carried through the walk in
-    O(1) per move.  The walk is lexicographic and reaches a leaf only when
+    Discrete Math. 308, 2008).  Both bounds are carried through the walk
+    in O(1) per move.  The walk is lexicographic and reaches a leaf only when
     it strictly improves the best span, so the witness and
     orderings_examined are those of any other admissible bound.  With
     prune=False the search degenerates to plain enumeration of all |V|!
@@ -217,26 +211,16 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
     order = [0] * n
     labels = [0] * n
     used = [False] * n
-    timed_out = False
-
-    def walk(depth: int, rest: int, levels: int) -> None:
-        # rest and levels are the sums of cost and level over the unplaced
-        # vertices
-        nonlocal best_span, best_order, examined, timed_out
-        if depth == n:
-            examined += 1
-            span = labels[depth - 1]
-            if span < best_span:
-                best_span = span
-                best_order = tuple(order)
-            return
-        if time.monotonic() > deadline:
-            timed_out = True
-            return
-        prev = labels[depth - 1] if depth else 0
-        # the level bound on the steps after candidate v is reach + level[v]
-        reach = (n - depth - 1) * bound - 2 * levels
-        for v in (starts if depth == 0 else range(n)):
+    # per depth: the candidates not yet tried there, the sum of cost over
+    # the unplaced vertices, the last label placed, and reach: the level
+    # bound on the steps after candidate v is reach + level[v]
+    nodes = [None] * n
+    nodes[0] = (iter(starts), sum(cost), 0, (n - 1) * bound - 2 * sum(level))
+    depth = 0
+    timed_out = time.monotonic() > deadline
+    while depth >= 0 and not timed_out:
+        candidates, rest, prev, reach = nodes[depth]
+        for v in candidates:
             if used[v]:
                 continue
             label = prev + 1
@@ -251,13 +235,23 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
                 continue
             order[depth] = v
             labels[depth] = label
+            if depth + 1 == n:
+                # a leaf: after is 0, so the cut above let through only a
+                # span below the best
+                examined += 1
+                best_span, best_order = label, tuple(order)
+                continue
             used[v] = True
-            walk(depth + 1, after, levels - level[v])
-            used[v] = False
-            if timed_out:
-                return
+            depth += 1
+            nodes[depth] = (iter(range(n)), after, label,
+                            reach - bound + 2 * level[v])
+            timed_out = time.monotonic() > deadline
+            break
+        else:
+            depth -= 1
+            if depth >= 0:
+                used[order[depth]] = False
 
-    _run_deep(lambda: walk(0, sum(cost), sum(level)), n)
     return _result(graph, TIMEOUT if timed_out else EXACT, best_order,
                    examined)
 
@@ -324,7 +318,6 @@ def find_consecutive_ordering(graph: Graph,
     diam = graph.diameter()
     order = [0] * n
     masks = {}  # k * n + v -> far(k, v), for this call only
-    timed_out = False
 
     def far(k: int, v: int) -> int:
         # bit w set iff d(v, w) >= k
@@ -341,13 +334,12 @@ def find_consecutive_ordering(graph: Graph,
             unused &= far(diam - c + 1, order[depth - c])
         return unused
 
-    def extend(depth: int, unused: int) -> Optional[tuple]:
-        nonlocal timed_out
-        if depth == n:
-            return tuple(order)
+    tries = [None] * n  # per depth: the candidates not yet tried there
+    unused = (1 << n) - 1
+    depth = 0
+    while True:  # entering a node at depth < n
         if time.monotonic() > deadline:
-            timed_out = True
-            return None
+            return _result(graph, TIMEOUT, None, 0)
         candidates = window(unused, depth, 1)
         # the window at depth + 1 without its c = 1 term, far(diam, v), which
         # each candidate v placed here adds; far(diam, v) never holds v
@@ -362,21 +354,22 @@ def find_consecutive_ordering(graph: Graph,
             # can outlast the budget on its own: the deadline is also
             # polled inside the scan
             if time.monotonic() > deadline:
-                timed_out = True
-                return None
+                return _result(graph, TIMEOUT, None, 0)
             scored.append(((far(diam, v) & onward_base).bit_count(), v))
         scored.sort()
-        for _, v in scored:
-            order[depth] = v
-            found = extend(depth + 1, unused & ~(1 << v))
-            if found is not None or timed_out:
-                return found
-        return None
-
-    witness = _run_deep(lambda: extend(0, (1 << n) - 1), n)
-    status = (WITNESS_FOUND if witness is not None
-              else TIMEOUT if timed_out else EXHAUSTED)
-    return _result(graph, status, witness, int(witness is not None))
+        tries[depth] = iter(scored)
+        # place the next untried candidate, backtracking past the depths
+        # that have none left
+        while (tried := next(tries[depth], None)) is None:
+            depth -= 1
+            if depth < 0:
+                return _result(graph, EXHAUSTED, None, 0)
+            unused |= 1 << order[depth]
+        v = order[depth] = tried[1]
+        unused ^= 1 << v
+        depth += 1
+        if depth == n:
+            return _result(graph, WITNESS_FOUND, tuple(order), 1)
 
 
 def verify_witness(graph: Graph, order) -> bool:

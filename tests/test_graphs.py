@@ -112,6 +112,18 @@ def test_petersen_diameter():
     assert petersen().diameter() == 2
 
 
+def test_flat_diameter_reads_the_table_once(monkeypatch):
+    # a flat graph's diameter scans the whole table, so it is kept
+    g = path(40)
+    reads = []
+    table = Graph.distance_matrix
+    monkeypatch.setattr(Graph, "distance_matrix",
+                        lambda self, *args: reads.append(self)
+                        or table(self, *args))
+    assert (g.diameter(), g.diameter()) == (39, 39)
+    assert reads == [g]
+
+
 def test_path_distance():
     g = path(3)
     assert g.distance(0, 2) == 2

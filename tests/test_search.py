@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import threading
 import time
 from itertools import permutations
 
@@ -318,21 +319,15 @@ def test_orbit_representatives_match_permutation_scan():
 
 
 def test_symmetry_reduction_runs_deeper_than_the_recursion_limit():
-    # the orbit backtracking recurses once per vertex: 1100 vertices need
-    # more than the default limit of 1000
-    before = sys.getrecursionlimit()
-    g = cycle(1100)
-    assert _automorphism_test(g, g.distance_matrix(), 0)(1) is True
-    assert sys.getrecursionlimit() == before
-    # the first start is never tested, and its subtree outlasts the budget
+    # 1100 positions, more than the default limit of 1000; the first start
+    # is never tested, and its subtree outlasts the budget
     start = time.monotonic()
-    result = exact_radio_number(g, limit=1100, symmetry_reduction=True,
-                                time_budget=1)
+    result = exact_radio_number(cycle(1100), limit=1100,
+                                symmetry_reduction=True, time_budget=1)
     assert time.monotonic() - start < 3.0
     assert result.status == TIMEOUT
     assert sorted(result.ordering) == list(range(1100))
     assert result.labeling.span == result.span
-    assert sys.getrecursionlimit() == before
 
 
 # ---------------------------------------------------------------------------
@@ -460,21 +455,55 @@ def test_zero_budget_times_out():
     assert result.ordering is None
 
 
-def test_witness_search_restores_the_recursion_limit():
-    # a 1000-vertex graph needs a deeper stack than the default 1000
-    before = sys.getrecursionlimit()
-    result = find_consecutive_ordering(cycle(1000), time_budget=0.0)
-    assert result.status == TIMEOUT
-    assert sys.getrecursionlimit() == before
+def deep_searches() -> dict:
+    """Searches that walk one level per vertex, past the default recursion
+    limit of 1000: name -> a call returning its result."""
+    k32 = cartesian_power(complete(32), 2)
+    return {
+        # the first ordering meets the bound
+        "star": lambda: exact_radio_number(star(1000), limit=1001),
+        "K32^2": lambda: find_consecutive_ordering(k32),
+    }
 
 
-def test_exact_search_runs_deeper_than_the_recursion_limit():
-    # the walk recurses once per position: 1001 positions need more than
-    # the default limit of 1000; the first ordering meets the bound
-    before = sys.getrecursionlimit()
-    g = star(1000)
-    result = exact_radio_number(g, limit=1001, time_budget=10.0)
+def test_deep_walks_never_touch_the_recursion_limit(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("the recursion limit is process-wide")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    searches = deep_searches()
+    result = searches["star"]()
     assert (result.status, result.span) == (EXACT, 1002)
+    result = searches["K32^2"]()
+    assert result.status == WITNESS_FOUND
+    assert len(result.ordering) == 1024
+    assert verify_witness(cartesian_power(complete(32), 2), result.ordering)
+    g = cycle(1100)
+    assert _automorphism_test(g, g.distance_matrix(), 0)(1) is True
+
+
+def test_deep_searches_run_in_two_threads_at_once():
+    before = sys.getrecursionlimit()
+    searches = deep_searches()
+    alone = {name: run().to_dict() for name, run in searches.items()}
+    together = {}
+
+    def run_into(name):
+        together[name] = searches[name]().to_dict()
+
+    threads = [threading.Thread(target=run_into, args=(name,))
+               for name in searches]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # interleave the two walks finely
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert together == alone
     assert sys.getrecursionlimit() == before
 
 
