@@ -466,6 +466,25 @@ def deep_searches() -> dict:
     }
 
 
+def test_witness_search_restores_the_recursion_limit():
+    # the 1024-vertex walk goes one level per vertex, past the default
+    # limit of 1000, and leaves the limit as it found it
+    before = sys.getrecursionlimit()
+    result = deep_searches()["K32^2"]()
+    assert result.status == WITNESS_FOUND
+    assert len(result.ordering) == 1024
+    assert sys.getrecursionlimit() == before
+
+
+def test_exact_search_runs_deeper_than_the_recursion_limit():
+    # the walk goes one level per position: 1001 positions are more than
+    # the default limit of 1000; the first ordering meets the bound
+    before = sys.getrecursionlimit()
+    result = deep_searches()["star"]()
+    assert (result.status, result.span) == (EXACT, 1002)
+    assert sys.getrecursionlimit() == before
+
+
 def test_deep_walks_never_touch_the_recursion_limit(monkeypatch):
     def refuse(limit):
         raise AssertionError("the recursion limit is process-wide")
