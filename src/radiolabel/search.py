@@ -161,11 +161,25 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
     cycles, and the level sum the one they use for paths (SIAM J. Discrete
     Math. 19, 2005) and Liu uses for trees ("Radio number for trees",
     Discrete Math. 308, 2008).  Both bounds are carried through the walk
-    in O(1) per move.  The walk is lexicographic and reaches a leaf only when
-    it strictly improves the best span, so the witness and
-    orderings_examined are those of any other admissible bound.  With
-    prune=False the search degenerates to plain enumeration of all |V|!
-    orderings through the labeling module, kept as the cross-check oracle.
+    in O(1) per move.
+
+    Before the walk, a greedy ordering is built from each start vertex:
+    it repeatedly appends the unplaced vertex of least induced label,
+    ties to the lowest index, in O(|V|^2) per start.  A start whose two
+    bounds at the first position already reach the best greedy span so
+    far is skipped, since its greedy ordering cannot be strictly better.
+    The walk starts with the best greedy ordering as its incumbent and
+    best span one above its span, so the bounds prune from the first
+    node.  The walk is lexicographic and reaches a leaf only when it
+    strictly improves the best span, so it still reaches the
+    lexicographically first optimum, even when a greedy ordering is
+    optimal too, and the witness and orderings_examined are those of
+    any other admissible bound seeded the same way.  orderings_examined
+    counts the leaves the walk reached, not the greedy orderings; it is
+    at least 1 on every exact result.  With prune=False the search
+    degenerates to plain enumeration of all |V|! orderings through the
+    labeling module, kept as the cross-check oracle; it builds no
+    greedy ordering.
 
     symmetry_reduction skips, at the first position, each vertex proved to
     share an automorphism orbit with a smaller start; the orbits are
@@ -179,11 +193,12 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
     on a graph with many twins, such as a star, where the bounds alone
     settle the search.
 
-    The time budget starts on entry and also bounds the orbit tests and
-    the filling of a flat graph's distance table.  Once it runs out the
-    search returns timeout with the best ordering found so far, whose
-    span is an upper bound on the radio number, or with no ordering if
-    none was completed.  Raises
+    The time budget starts on entry and also bounds the greedy
+    orderings, the orbit tests and the filling of a flat graph's
+    distance table.  Once it runs out the search returns timeout with the
+    best ordering found so far, greedy or walked, whose span is an upper
+    bound on the radio number and at most the best greedy span, or with
+    no ordering if not even one greedy ordering was completed.  Raises
     InvalidParameterError for a budget that is negative, infinite or NaN,
     and TooLargeError above limit vertices or above the distance cache
     limit, graphs.DISTANCE_CACHE_LIMIT vertices.
@@ -204,9 +219,16 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
     bound = diam + 1
     cost = [max(1, bound - max(row)) for row in dist]
     level = min(dist, key=sum)  # distances from the first central vertex
+    rest = sum(cost)
+    reach = (n - 1) * bound - 2 * sum(level)
+    greedy_span, best_order = _greedy_incumbent(
+        dist, bound, [1 + max(rest - c, reach + l)
+                      for c, l in zip(cost, level)], deadline)
+    # one above the greedy span, so the walk still reaches the
+    # lexicographically first optimum when the greedy ordering is one
+    best_span = greedy_span + 1
     starts = (_first_vertex_representatives(graph, dist, deadline)
               if symmetry_reduction else range(n))
-    best_span, best_order = math.inf, None
     examined = 0
     order = [0] * n
     labels = [0] * n
@@ -215,7 +237,7 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
     # the unplaced vertices, the last label placed, and reach: the level
     # bound on the steps after candidate v is reach + level[v]
     nodes = [None] * n
-    nodes[0] = (iter(starts), sum(cost), 0, (n - 1) * bound - 2 * sum(level))
+    nodes[0] = (iter(starts), rest, 0, reach)
     depth = 0
     timed_out = time.monotonic() > deadline
     while depth >= 0 and not timed_out:
@@ -254,6 +276,51 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
 
     return _result(graph, TIMEOUT if timed_out else EXACT, best_order,
                    examined)
+
+
+def _greedy_incumbent(dist: list, bound: int, floors: list,
+                      deadline: float) -> tuple:
+    """(span, ordering) of the best greedy ordering, or (inf, None) if none
+    was completed before the deadline.  dist is the distance table, bound
+    is diam + 1, and floors[s] is a lower bound on the span of every
+    ordering starting at s.
+
+    A greedy ordering starts at s and repeatedly appends the unplaced
+    vertex of least induced label, ties to the lowest index.  lab[w] is
+    the maximum over the placed p of labels[p] + bound - d(w, p); the term
+    of the last placed vertex alone exceeds its label, since d <= diam, so
+    lab[w] is the label w takes if placed next.  Terms of vertices more
+    than diam positions back never decide it (see induced_labeling), so
+    the greedy span is the induced span.  One pass over the new vertex's
+    row updates lab: O(n^2) per start.  A start whose floor reaches the
+    best greedy span so far is skipped, as its ordering cannot be
+    strictly better; on a star whose hub is vertex 0 every leaf is
+    skipped this way.  The deadline is polled before each start and each
+    step, and an ordering cut short counts for nothing."""
+    n = len(dist)
+    best_span, best_order = math.inf, None
+    for s in range(n):
+        if time.monotonic() > deadline:
+            return best_span, best_order
+        if floors[s] >= best_span:
+            continue
+        order = [s]
+        label = 1
+        lab = [label + bound - d for d in dist[s]]
+        lab[s] = math.inf
+        while len(order) < n:
+            if time.monotonic() > deadline:
+                return best_span, best_order
+            label = min(lab)
+            v = lab.index(label)
+            order.append(v)
+            top = label + bound
+            lab = [x if x > (y := top - d) else y
+                   for x, d in zip(lab, dist[v])]
+            lab[v] = math.inf
+        if label < best_span:
+            best_span, best_order = label, tuple(order)
+    return best_span, best_order
 
 
 def _enumerate_all(graph: Graph, deadline: float) -> SearchResult:

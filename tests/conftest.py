@@ -1,8 +1,12 @@
-"""Shared corpus helpers for the test suite."""
+"""Shared corpus helpers and the per-test time bound for the test suite."""
 
 from __future__ import annotations
 
+import faulthandler
+import os
 import random
+
+import pytest
 
 from radiolabel import (
     Graph,
@@ -14,6 +18,32 @@ from radiolabel import (
     path,
     petersen,
 )
+
+# The slowest test takes a few seconds; a search whose deadline poll is
+# lost would otherwise hang the run with no word of where it hangs.
+TEST_TIME_LIMIT = 120.0
+
+_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # a copy of the terminal's stderr, taken while output is not captured:
+    # a traceback written to the captured stream would be lost on exit
+    config.stash[_STDERR] = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR])
+
+
+@pytest.fixture(autouse=True)
+def time_bound(request):
+    """Ends the run, with a traceback of every thread on stderr, when a
+    test runs past TEST_TIME_LIMIT seconds."""
+    faulthandler.dump_traceback_later(
+        TEST_TIME_LIMIT, exit=True, file=request.config.stash[_STDERR])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def star(leaves: int) -> Graph:

@@ -133,7 +133,7 @@ def test_search_result_tables_are_pinned(capsys, tmp_path):
         "span                5\n"
         "ordering            0 2 1 3\n"
         "labels              1 4 2 5\n"
-        "orderings_examined  3\n"), "")
+        "orderings_examined  1\n"), "")
     assert run(capsys, "search-consecutive", c4) == (0, (
         "status              exhausted-no-witness\n"
         "span                -\n"
@@ -278,16 +278,16 @@ def test_bad_search_budget_is_an_error_line(capsys, tmp_path):
 
 
 def test_radio_number_budget_prints_an_upper_bound(capsys, tmp_path):
-    # the 12-path takes far longer than the budget to settle; rn(P_12) is
-    # 62 with labels from 1 (Liu and Zhu)
-    p12 = write(tmp_path, "p12.txt", counted_edge_list(
-        12, [(v, v + 1) for v in range(11)]))
-    code, out, err = run(capsys, "radio-number", p12, "--limit", "12",
+    # the 14-path takes far longer than the budget to settle; rn(P_14) is
+    # 86 with labels from 1 (Liu and Zhu)
+    p14 = write(tmp_path, "p14.txt", counted_edge_list(
+        14, [(v, v + 1) for v in range(13)]))
+    code, out, err = run(capsys, "radio-number", p14, "--limit", "14",
                          "--budget", "0.2", "--format", "json")
     assert code == 0 and err == ""
     result = json.loads(out)
     assert result["status"] == "timeout"
-    assert result["span"] >= 62
+    assert result["span"] >= 86
     assert max(result["labels"]) == result["span"]
 
 
