@@ -12,7 +12,9 @@ import math
 import operator
 import os
 import re
+import sys
 import time
+from array import array
 from collections import deque
 from typing import Callable, Iterable, Optional, Sequence, TextIO, Union
 
@@ -62,26 +64,29 @@ def decode_index(index: int, sizes: Sequence[int]) -> tuple:
 
 
 def _hamming_codes(sizes: Sequence[int]) -> tuple:
-    """(codes, fill, guard) for counting differing coordinates in a product
-    with factor sizes ``sizes``.
+    """(codes, fill, guard, field) for counting differing coordinates in a
+    product with factor sizes ``sizes``.
 
     codes[v] packs vertex v's coordinates into one int: coordinate k sits
-    in field k of w + 1 bits, w the bit length of the largest coordinate,
-    first coordinate highest, so the codes come out in flat-index order.
-    A field of codes[u] ^ codes[v] is non-zero exactly when the two
+    in field k of ``field`` bits, first coordinate highest, so the codes
+    come out in flat-index order.  With w the bit length of the largest
+    coordinate, a field holds w + 1 bits or, if more, the bit length of
+    the factor count, so that a field also holds any count of differing
+    coordinates (Graph._window_distances sums them a field apart).  A
+    field of codes[u] ^ codes[v] is non-zero exactly when the two
     coordinates differ; adding fill, w one-bits per field, carries such a
-    field into its spare top bit and never into the next field.  So
+    field into its bit w and never further.  So
     d(u, v) = (((codes[u] ^ codes[v]) + fill) & guard).bit_count(), guard
-    holding the top bit of every field.
+    holding bit w of every field.
     """
     w = (max(sizes) - 1).bit_length()
-    field = w + 1
+    field = max(w + 1, len(sizes).bit_length())
     codes, low = [0], 0
     for size in sizes:  # folded as _materialize_product_adjacency folds
         codes = [p << field | c for p in codes for c in range(size)]
         low = low << field | 1
     guard = low << w
-    return codes, guard - low, guard
+    return codes, guard - low, guard, field
 
 
 class Graph:
@@ -228,7 +233,7 @@ class Graph:
             # same answers as the table sum below, whose K_n tables hold
             # only 0 and 1, but 3-5x faster: 20000 random K_5^5 pairs took
             # about 5 ms against 16-28 ms (best of 7, 2-vCPU host)
-            codes, fill, guard = _hamming_codes(self._sizes)
+            codes, fill, guard, _field = _hamming_codes(self._sizes)
             return lambda u, v: (((codes[u] ^ codes[v]) + fill)
                                  & guard).bit_count()
         # itertools.product yields coordinate tuples in flat-index order
@@ -236,6 +241,33 @@ class Graph:
         tables = [f.distance_matrix() for f in self._factors]
         at = operator.getitem  # tables[k][cu[k]][cv[k]], summed over k
         return lambda u, v: sum(map(at, map(at, tables, coords[u]), coords[v]))
+
+    def _window_distances(self, order: tuple) -> Callable[[int], Iterable[int]]:
+        """window(c) gives d(order[i], order[i + c]) for i < len(order) - c,
+        in that order, for scans of an ordering offset by offset.
+
+        On a product of complete factors the ordering's codes (see
+        _hamming_codes) are packed into one int, one segment of t fields
+        per position, rounded up to whole bytes and fields.  The distances
+        at offset c then take a few big-int operations: XOR with the int
+        shifted c segments down, fill added and guard masked per segment,
+        and a multiply by one bit per field that adds each segment's t
+        flags into one byte, read out as bytes.  The multiply also leaves
+        partial counts a whole number of fields above and below that byte,
+        the highest in the next segment; where two meet they count at
+        most t flags, and t < 2^field, so nothing carries into a sum.
+        When a segment would pass 64 bits (K_2^16, K_200^2), and on every
+        other graph, window(c) maps _distance_function over the pairs.
+        Built on each call; the packed int takes at most 8 bytes per
+        vertex, 3 on K_6^5.
+        """
+        if (self._factors is not None
+                and all(f.is_complete() for f in self._factors)):
+            window = _packed_window(self._sizes, order)
+            if window is not None:
+                return window
+        dist = self._distance_function()
+        return lambda c: map(dist, order, order[c:])
 
     def diameter(self) -> int:
         """Computed on the first call and kept: on a flat graph it is a
@@ -268,6 +300,51 @@ class Graph:
         if self._factors is not None and self._adjacency is None:
             return f"Graph(vertices={self._n}, factors={len(self._factors)})"
         return f"Graph(vertices={self._n}, edges={self.edge_count})"
+
+
+def _packed_window(sizes: Sequence[int], order: tuple
+                   ) -> Optional[Callable[[int], bytes]]:
+    """Graph._window_distances on a product of complete factors with
+    sizes ``sizes``, or None when a segment would pass 64 bits."""
+    codes, fill, guard, field = _hamming_codes(sizes)
+    t = len(sizes)
+    step = math.lcm(8, field)
+    bits = -(-t * field // step) * step  # t fields, whole bytes and fields
+    if bits > 64:
+        return None
+    size = bits // 8
+    n = len(order)
+    packed = array(next(code for code in "BHIQ"
+                        if array(code).itemsize >= size),
+                   map(codes.__getitem__, order))
+    if sys.byteorder == "big":
+        packed.byteswap()
+    raw = packed.tobytes()
+    if packed.itemsize > size:  # drop each item's zero top bytes
+        wide, raw = raw, bytearray(n * size)
+        for k in range(size):
+            raw[k::size] = wide[k::packed.itemsize]
+    x = int.from_bytes(raw, "little")
+    fills = int.from_bytes(fill.to_bytes(size, "little") * n, "little")
+    guards = int.from_bytes(guard.to_bytes(size, "little") * n, "little")
+    # the flag of field j times the adder's term t - 1 - j lands on
+    # top + shift: byte `start`, at or above the first coordinate's flag
+    top = guard.bit_length() - 1
+    shift = -top % 8
+    start = (top + shift) // 8
+    adder = sum(1 << (k * field + shift) for k in range(t))
+    # the next partial count up starts a field above the sum
+    low = (1 << min(field, 8)) - 1
+    table = bytes(b & low for b in range(256))
+    length = (n + 2) * size  # room for the last segment's partial counts
+
+    def window(c: int) -> bytes:
+        y = x ^ (x >> c * bits)
+        sums = ((y + fills) & guards) * adder
+        return sums.to_bytes(length, "little")[
+            start:start + max(n - c, 0) * size:size].translate(table)
+
+    return window
 
 
 def _adjacency_from_edges(vertex_count: int, edges: Iterable[tuple]) -> tuple:

@@ -49,10 +49,14 @@ def _shift_column(k: int, n: int, t: int) -> int:
 
 def knt_ordering_matrix(n: int, t: int) -> list:
     """The ordering via the shift-matrix description: each row of the
-    first-row matrix expands to its group of n rows."""
-    return [tuple((e + i) % n for e in first)
-            for first in first_row_matrix(n, t).rows
-            for i in range(n)]
+    first-row matrix expands to its group of n rows.  Row i of a group
+    shifts every entry e of the first row to (e + i) mod n, so the group
+    is the transpose of the rows rot[e] = (e, e + 1, ..., e + n - 1) mod n
+    of its first row's entries."""
+    rows = first_row_matrix(n, t).rows  # validates n and t first
+    rot = [tuple((e + i) % n for i in range(n)) for e in range(n)]
+    return [row for first in rows
+            for row in zip(*map(rot.__getitem__, first))]
 
 
 def knt_ordering_recursive(n: int, t: int) -> list:

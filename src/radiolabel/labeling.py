@@ -131,13 +131,22 @@ def induced_labeling(graph: Graph, order: Sequence[int]) -> Labeling:
     vertices.  Since labels rise by at least one per step, a vertex more
     than diam positions back can never force more than the +1 floor, so
     only a diam-wide window of predecessors needs checking.
+
+    The span is |V| exactly when the window criterion holds (see
+    check_consecutive_ordering), and then every label is its vertex's
+    position.  So the criterion is tested first, offset by offset, and
+    the positions are returned when it holds; only an ordering that fails
+    it takes the per-position loop, one distance query per window pair.
     """
     order = validate_ordering(graph, order)
+    labels = [0] * len(order)
+    if _window_holds(graph, order):
+        for i, v in enumerate(order, 1):
+            labels[v] = i
+        return Labeling(tuple(labels))
     diam = graph.diameter()
     dist = graph._distance_function()
     bound = diam + 1
-    n = len(order)
-    labels = [0] * n
     prev = 0
     for i, v in enumerate(order):
         best = prev + 1
@@ -164,14 +173,22 @@ def is_consecutive(graph: Graph,
 def check_consecutive_ordering(graph: Graph, order: Sequence[int]) -> bool:
     """True iff d(x_i, x_{i+c}) >= diam - c + 1 for every i and c <= diam.
 
-    Offsets past diam impose nothing, so the scan is O(N * diam): one pass
-    per offset c, taking the least distance over all pairs c apart.
-    Holding is equivalent to the induced labeling having span |V|.
+    Offsets past diam impose nothing.  The scan takes the least distance
+    at each offset c <= diam and stops at the first offset that falls
+    short.  On a product of complete factors an offset's distances come
+    from a few big-int operations over the whole ordering (see
+    Graph._window_distances), elsewhere from one query per pair: O(N *
+    diam) either way.  Holding is equivalent to the induced labeling
+    having span |V|.
     """
-    order = validate_ordering(graph, order)
+    return _window_holds(graph, validate_ordering(graph, order))
+
+
+def _window_holds(graph: Graph, order: tuple) -> bool:
+    """The window criterion on a validated ordering."""
     diam = graph.diameter()
-    dist = graph._distance_function()
-    return all(min(map(dist, order, order[c:]), default=diam) >= diam - c + 1
+    window = graph._window_distances(order)
+    return all(min(window(c), default=diam) >= diam - c + 1
                for c in range(1, diam + 1))
 
 

@@ -1,5 +1,7 @@
 import json
+import math
 import random
+import re
 import time
 import tracemalloc
 from itertools import permutations
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import kernel_corpus, small_corpus
 from radiolabel import (
+    Graph,
     IncompleteLabelingError,
     IndexOutOfRangeError,
     InvalidParameterError,
@@ -244,6 +247,96 @@ def test_checks_agree_with_per_call_distance_loops():
     assert windows == {True, False}
 
 
+def one_swaps(order, diam):
+    """The ordering with positions i and i + diam swapped, for one i in
+    its first, middle and last window."""
+    n = len(order)
+    out = []
+    for i in (0, n // 2 - diam // 2, n - 1 - diam):
+        if 0 <= i < i + diam < n:
+            swapped = list(order)
+            swapped[i], swapped[i + diam] = swapped[i + diam], swapped[i]
+            out.append(tuple(swapped))
+    return out
+
+
+def window_orders(name, g, rng):
+    """The K_n^t ordering of a K_n^t graph, else a seeded random ordering,
+    with its one-swap variants."""
+    power = re.fullmatch(r"K(\d+)\^(\d+)", name)
+    base, t = map(int, power.groups()) if power else (0, 0)
+    if 3 <= base and t <= base:
+        order = tuple(flat_indices(knt_ordering(base, t), base))
+    else:
+        n = g.vertex_count
+        order = tuple(rng.sample(range(n), n))
+    return [order] + one_swaps(order, g.diameter())
+
+
+def assert_window_bytes(g, order, offsets):
+    dist = g._distance_function()
+    window = g._window_distances(order)
+    for c in offsets:
+        distances = window(c)
+        assert isinstance(distances, bytes), c
+        assert list(distances) == [dist(order[i], order[i + c])
+                                   for i in range(len(order) - c)], c
+
+
+COMPLETE_PRODUCTS = [(name, g) for name, g in kernel_corpus()
+                     if g.factors and all(f.is_complete() for f in g.factors)]
+
+
+def test_window_kernel_covers_the_named_products():
+    # K2^5 counts up to 5 differing coordinates a segment, more than its
+    # 2-bit coordinate field holds; K8xK1xK2 has a K_1 factor and a full
+    # 3-bit field; K2xK3xK5 mixes field fillings
+    names = [name for name, _ in COMPLETE_PRODUCTS]
+    assert {"K4^3", "K8^2", "K2^5", "K8xK1xK2", "K2xK3xK5"} <= set(names)
+
+
+@pytest.mark.parametrize("name, g", COMPLETE_PRODUCTS,
+                         ids=[name for name, _ in COMPLETE_PRODUCTS])
+def test_window_kernel_matches_the_distance_function(name, g):
+    rng = random.Random(name)
+    windows = set()
+    for order in window_orders(name, g, rng):
+        assert_window_bytes(g, order, range(1, g.diameter() + 2))
+        window = check_consecutive_ordering(g, order)
+        assert window == reference_window(g, order), order
+        windows.add(window)
+        assert list(induced_labeling(g, order).labels) == \
+            naive_induced(g, order), order
+    if name in ("K4^3", "K8^2"):
+        assert True in windows
+
+
+def test_window_kernel_offsets_past_the_ordering_are_empty():
+    g = cartesian_power(complete(2), 2)
+    order = (0, 3, 1, 2)
+    assert_window_bytes(g, order, (3, 4, 5, 9))
+    assert g._window_distances(order)(4) == b""
+
+
+def test_window_kernel_on_a_one_vertex_product():
+    g = Graph._product([complete(1)] * 3)
+    assert g.diameter() == 0
+    assert g._window_distances((0,))(1) == b""
+    assert check_consecutive_ordering(g, (0,))
+    assert induced_labeling(g, (0,)).labels == (1,)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data(),
+       sizes=st.lists(st.integers(1, 9), min_size=1, max_size=5).filter(
+           lambda sizes: math.prod(sizes) <= 512))
+def test_window_kernel_matches_on_random_products(data, sizes):
+    g = Graph._product([complete(size) for size in sizes])
+    n = g.vertex_count
+    order = tuple(data.draw(st.permutations(range(n)), label="order"))
+    assert_window_bytes(g, order, range(1, n + 1))
+
+
 CHECK_CORPUS = kernel_corpus() + small_corpus()
 
 
@@ -330,6 +423,20 @@ def test_window_check_equals_consecutive_induced():
             lab = induced_labeling(g, order)
             assert window == is_consecutive(g, lab)
             assert window == (lab.span == n)
+    # K_n^t up to 256 vertices, where both checks take the packed window
+    # kernel: the O(N^2) radio check, which does not, audits them
+    windows = set()
+    for n, t in ((n, t) for n in range(3, 17) for t in range(2, n + 1)
+                 if n ** t <= 256):
+        g = cartesian_power(complete(n), t)
+        order = tuple(flat_indices(knt_ordering(n, t), n))
+        for variant in [order] + one_swaps(order, t):
+            window = check_consecutive_ordering(g, variant)
+            lab = induced_labeling(g, variant)
+            assert window == is_consecutive(g, lab) == \
+                (lab.span == n ** t), (n, t, variant)
+            windows.add(window)
+    assert windows == {True, False}
 
 
 def test_consecutive_span_is_vertex_count():
