@@ -160,8 +160,15 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
     The eccentricity argument is the one Liu and Zhu use for paths and
     cycles, and the level sum the one they use for paths (SIAM J. Discrete
     Math. 19, 2005) and Liu uses for trees ("Radio number for trees",
-    Discrete Math. 308, 2008).  Both bounds are carried through the walk
-    in O(1) per move.
+    Discrete Math. 308, 2008).  Each node of the walk carries both bounds
+    and a label vector lab, where lab[w] is the label w takes if placed
+    next: the maximum over the placed p of label(p) + diam + 1 - d(w, p),
+    and 1 at the root.  The last placed vertex's term alone exceeds its
+    label, since d <= diam, and a term from more than diam positions back
+    never decides the label (see induced_labeling), so lab[w] is w's
+    induced label.  A child's vector costs one pass over the placed
+    vertex's row, and each candidate's label one read; the per-depth
+    state costs O(|V|), so O(|V|^2) at full depth.
 
     Before the walk, a greedy ordering is built from each start vertex:
     it repeatedly appends the unplaced vertex of least induced label,
@@ -231,32 +238,26 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
               if symmetry_reduction else range(n))
     examined = 0
     order = [0] * n
-    labels = [0] * n
     used = [False] * n
     # per depth: the candidates not yet tried there, the sum of cost over
-    # the unplaced vertices, the last label placed, and reach: the level
-    # bound on the steps after candidate v is reach + level[v]
+    # the unplaced vertices, lab: the label each vertex takes if placed
+    # there, and reach: the level bound on the steps after candidate v is
+    # reach + level[v]
     nodes = [None] * n
-    nodes[0] = (iter(starts), rest, 0, reach)
+    nodes[0] = (iter(starts), rest, [1] * n, reach)
     depth = 0
     timed_out = time.monotonic() > deadline
     while depth >= 0 and not timed_out:
-        candidates, rest, prev, reach = nodes[depth]
+        candidates, rest, lab, reach = nodes[depth]
         for v in candidates:
             if used[v]:
                 continue
-            label = prev + 1
-            row = dist[v]
-            for c in range(1, min(diam, depth) + 1):
-                candidate = labels[depth - c] + bound - row[order[depth - c]]
-                if candidate > label:
-                    label = candidate
+            label = lab[v]
             after = rest - cost[v]
             if (label + after >= best_span
                     or label + reach + level[v] >= best_span):
                 continue
             order[depth] = v
-            labels[depth] = label
             if depth + 1 == n:
                 # a leaf: after is 0, so the cut above let through only a
                 # span below the best
@@ -265,7 +266,10 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
                 continue
             used[v] = True
             depth += 1
-            nodes[depth] = (iter(range(n)), after, label,
+            top = label + bound
+            nodes[depth] = (iter(range(n)), after,
+                            [x if x > (y := top - d) else y
+                             for x, d in zip(lab, dist[v])],
                             reach - bound + 2 * level[v])
             timed_out = time.monotonic() > deadline
             break

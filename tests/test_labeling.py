@@ -524,6 +524,27 @@ def test_labeling_json_round_trip():
     assert data["span"] == 5
 
 
+# graph file names with quotes, backslashes, non-ASCII text and control
+# characters, which json.dumps escapes
+FILE_NAMES = st.sampled_from(
+    ("-", "g.txt", 'say "hi".txt', "back\\slash", "k\u00e9\u00f1.txt",
+     "\u56fe.txt", "tab\there", "\U0001f600")) | st.text(max_size=12)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 10**12), min_size=1, max_size=40), FILE_NAMES,
+       st.lists(st.integers(-3, 10**12), max_size=40))
+def test_json_writers_match_json_dumps(labels, graph_file, order):
+    labeling = Labeling(tuple(labels))
+    assert labeling_to_json(labeling, graph_file) == json.dumps(
+        {"graph": graph_file, "labels": labels, "span": max(labels)},
+        indent=2) + "\n"
+    # an empty ordering, or one with a bool, takes json.dumps itself
+    for entries in (order, order + [True]):
+        assert ordering_to_json(tuple(entries)) == json.dumps(
+            {"order": entries}, indent=2) + "\n"
+
+
 def test_labeling_json_span_mismatch():
     with pytest.raises(InvalidParameterError):
         labeling_from_json('{"labels": [1, 2], "span": 9}')

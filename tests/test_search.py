@@ -185,6 +185,9 @@ POOL = {
 def bound_corpus() -> list:
     graphs = small_corpus() + [(f"P{n}", path(n)) for n in range(7, 10)]
     graphs += [("C9", cycle(9)), ("P3xP3", cartesian_power(path(3), 2))]
+    # diameter 2 on 9 vertices: the walk runs six levels past its window,
+    # where the label vector holds terms from far more than diam back
+    graphs.append(("K3xK3", cartesian_power(complete(3), 2)))
     rng = random.Random(9)
     for name, (_span, edges) in POOL.items():
         perm = list(range(9))
@@ -219,6 +222,27 @@ def test_c9_keeps_the_lexicographically_first_optimum():
     result = exact_radio_number(cycle(9))
     assert result.span == 13
     assert result.ordering == (0, 4, 7, 2, 5, 8, 3, 6, 1)
+
+
+# (status, span, ordering, labels, orderings_examined) of instances deeper
+# than the one-per-step oracle reaches, as the walk that recomputed each
+# candidate's label from its window reported them
+PINNED = {
+    "P10": (path(10), (EXACT, 42, (4, 9, 1, 6, 2, 7, 3, 8, 0, 5),
+                       (37, 8, 19, 30, 1, 42, 13, 24, 35, 6), 2)),
+    "C10": (cycle(10), (EXACT, 18, (0, 5, 2, 7, 4, 9, 6, 1, 8, 3),
+                        (1, 14, 5, 18, 9, 2, 13, 6, 17, 10), 1)),
+}
+
+
+@pytest.mark.parametrize("symmetry_reduction", [False, True])
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_exact_outputs_pinned_past_the_oracle(name, symmetry_reduction):
+    g, expected = PINNED[name]
+    result = exact_radio_number(g, limit=10,
+                                symmetry_reduction=symmetry_reduction)
+    assert (result.status, result.span, result.ordering,
+            result.labeling.labels, result.orderings_examined) == expected
 
 
 @st.composite
