@@ -217,21 +217,8 @@ def _json_object(text: str, what: str) -> dict:
     return data
 
 
-def _indented_ints(values: Sequence[int]) -> str:
-    """A non-empty list of exact ints laid out as json.dumps(..., indent=2)
-    lays out the value of a top-level key, written directly: with indent,
-    json.dumps takes its pure-Python encoder, several times slower."""
-    return "[\n    " + ",\n    ".join(map(str, values)) + "\n  ]"
-
-
 def ordering_to_json(order: Sequence[int]) -> str:
-    """The text json.dumps({"order": [...]}, indent=2) writes, plus a
-    newline; an empty ordering, or one holding anything but exact ints,
-    goes through json.dumps itself."""
-    order = list(order)
-    if not order or set(map(type, order)) != {int}:
-        return json.dumps({"order": order}, indent=2) + "\n"
-    return '{\n  "order": ' + _indented_ints(order) + "\n}\n"
+    return json.dumps({"order": list(order)}, indent=2) + "\n"
 
 
 def ordering_from_json(text: str, graph: Optional[Graph] = None) -> tuple:
@@ -269,11 +256,14 @@ def ordering_from_json(text: str, graph: Optional[Graph] = None) -> tuple:
 
 def labeling_to_json(labeling: Labeling, graph_file: str = "-") -> str:
     """The text json.dumps({"graph": ..., "labels": [...], "span": ...},
-    indent=2) writes, plus a newline; a Labeling holds only a non-empty
-    tuple of exact ints, so the layout is fixed."""
+    indent=2) writes, plus a newline, written directly: with indent,
+    json.dumps takes its pure-Python encoder, several times slower.  A
+    Labeling holds only a non-empty tuple of exact ints, so the layout is
+    fixed."""
     return ('{\n  "graph": ' + json.dumps(graph_file)
-            + ',\n  "labels": ' + _indented_ints(labeling.labels)
-            + ',\n  "span": ' + str(labeling.span) + "\n}\n")
+            + ',\n  "labels": [\n    '
+            + ",\n    ".join(map(str, labeling.labels))
+            + '\n  ],\n  "span": ' + str(labeling.span) + "\n}\n")
 
 
 def labeling_from_json(text: str) -> Labeling:

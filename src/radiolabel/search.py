@@ -160,15 +160,22 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
     The eccentricity argument is the one Liu and Zhu use for paths and
     cycles, and the level sum the one they use for paths (SIAM J. Discrete
     Math. 19, 2005) and Liu uses for trees ("Radio number for trees",
-    Discrete Math. 308, 2008).  Each node of the walk carries both bounds
-    and a label vector lab, where lab[w] is the label w takes if placed
-    next: the maximum over the placed p of label(p) + diam + 1 - d(w, p),
-    and 1 at the root.  The last placed vertex's term alone exceeds its
-    label, since d <= diam, and a term from more than diam positions back
-    never decides the label (see induced_labeling), so lab[w] is w's
-    induced label.  A child's vector costs one pass over the placed
-    vertex's row, and each candidate's label one read; the per-depth
-    state costs O(|V|), so O(|V|^2) at full depth.
+    Discrete Math. 308, 2008).  Each node of the walk carries both bounds,
+    its last label and a gap vector: w placed next takes that label plus
+    gap[w], where the label w takes is the maximum over the placed p of
+    label(p) + diam + 1 - d(w, p), and 1 at the root (last label 0, every
+    gap 1).  The last placed vertex's term alone exceeds its label, since
+    d <= diam, and a term from more than diam positions back never decides
+    the label (see induced_labeling), so this is w's induced label.  Once
+    v is placed, the child's gaps are max(gap[w] - gap[v], diam + 1 -
+    d(v, w)), one pass over v's row, and each candidate's label is one
+    read.  Every gap lies in 1..diam + 1, so below diameter 256 it is one
+    of CPython's cached small ints and a vector costs one 8-byte list slot
+    an entry.  At full depth the vectors take |V|^2 slots, as much as the
+    distance table: on the 4096 vertices of star(4095) the walk's
+    tracemalloc peak is 130 MiB, beside the table's 128 MiB.  Above
+    diameter 255 an entry may also hold its own int object, up to about
+    40 bytes.
 
     Before the walk, a greedy ordering is built from each start vertex:
     it repeatedly appends the unplaced vertex of least induced label,
@@ -240,19 +247,20 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
     order = [0] * n
     used = [False] * n
     # per depth: the candidates not yet tried there, the sum of cost over
-    # the unplaced vertices, lab: the label each vertex takes if placed
-    # there, and reach: the level bound on the steps after candidate v is
-    # reach + level[v]
+    # the unplaced vertices, the last label placed, gap: the label each
+    # vertex takes if placed there less that last label, and reach: the
+    # level bound on the steps after candidate v is reach + level[v]
     nodes = [None] * n
-    nodes[0] = (iter(starts), rest, [1] * n, reach)
+    nodes[0] = (iter(starts), rest, 0, [1] * n, reach)
     depth = 0
     timed_out = time.monotonic() > deadline
     while depth >= 0 and not timed_out:
-        candidates, rest, lab, reach = nodes[depth]
+        candidates, rest, last, gap, reach = nodes[depth]
         for v in candidates:
             if used[v]:
                 continue
-            label = lab[v]
+            step = gap[v]
+            label = last + step
             after = rest - cost[v]
             if (label + after >= best_span
                     or label + reach + level[v] >= best_span):
@@ -266,10 +274,11 @@ def exact_radio_number(graph: Graph, limit: int = DEFAULT_EXACT_LIMIT,
                 continue
             used[v] = True
             depth += 1
-            top = label + bound
-            nodes[depth] = (iter(range(n)), after,
-                            [x if x > (y := top - d) else y
-                             for x, d in zip(lab, dist[v])],
+            # max(x, step + bound - d) - step: the gaps past label
+            top = step + bound
+            nodes[depth] = (iter(range(n)), after, label,
+                            [x - step if x > (y := top - d) else y - step
+                             for x, d in zip(gap, dist[v])],
                             reach - bound + 2 * level[v])
             timed_out = time.monotonic() > deadline
             break

@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -186,7 +187,7 @@ def bound_corpus() -> list:
     graphs = small_corpus() + [(f"P{n}", path(n)) for n in range(7, 10)]
     graphs += [("C9", cycle(9)), ("P3xP3", cartesian_power(path(3), 2))]
     # diameter 2 on 9 vertices: the walk runs six levels past its window,
-    # where the label vector holds terms from far more than diam back
+    # where the gap vectors carry terms from far more than diam back
     graphs.append(("K3xK3", cartesian_power(complete(3), 2)))
     rng = random.Random(9)
     for name, (_span, edges) in POOL.items():
@@ -543,6 +544,24 @@ def test_exact_search_runs_deeper_than_the_recursion_limit():
     result = deep_searches()["star"]()
     assert (result.status, result.span) == (EXACT, 1002)
     assert sys.getrecursionlimit() == before
+
+
+def test_exact_walk_keeps_one_list_slot_per_gap():
+    # the walk reaches a leaf of star(400), so it holds a gap vector at
+    # each of the 401 depths; every gap lies in 1..diam + 1, a cached small
+    # int, so the vectors cost about one 8-byte slot an entry (a vector of
+    # labels, each its own int object past 256, took about 22 bytes)
+    g = star(400)
+    g.distance_matrix()
+    tracemalloc.start()
+    try:
+        result = exact_radio_number(g, limit=401)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.status, result.span) == (EXACT, 402)
+    assert result.orderings_examined >= 1
+    assert peak < 16 * 401 ** 2
 
 
 def test_deep_walks_never_touch_the_recursion_limit(monkeypatch):
