@@ -146,7 +146,7 @@ def _cmd_verify(args) -> int:
 def _cmd_radio_number(args) -> int:
     graph = _read_graph(args.graph)
     result = search.exact_radio_number(
-        graph, limit=args.limit, prune=not args.no_prune,
+        graph, prune=not args.no_prune,
         symmetry_reduction=args.symmetry_reduction, time_budget=args.budget)
     _emit(_result_text(result, args.format), None)
     return 0
@@ -233,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("radio-number", help="exact radio number (small |V|)")
     p.add_argument("graph")
-    p.add_argument("--limit", type=int, default=search.DEFAULT_EXACT_LIMIT)
     p.add_argument("--no-prune", action="store_true",
                    help="plain enumeration of all orderings")
     p.add_argument("--symmetry-reduction", action="store_true",

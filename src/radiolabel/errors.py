@@ -42,4 +42,4 @@ class IncompleteLabelingError(RadioLabelError):
 
 
 class TooLargeError(RadioLabelError):
-    """The instance exceeds the size guard of an exhaustive search."""
+    """The graph has more vertices than the distance cache holds."""

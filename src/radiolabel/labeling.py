@@ -60,8 +60,8 @@ class Violation:
 def validate_ordering(graph: Graph, order: Sequence[int]) -> tuple:
     """Return the ordering as a tuple, insisting it permutes the vertices."""
     order = tuple(order)
-    if len(order) != graph.vertex_count or set(order) != set(
-            range(graph.vertex_count)):
+    n = graph.vertex_count
+    if len(order) != n or set(range(n)).difference(order):
         raise InvalidParameterError(
             "ordering is not a permutation of the vertex set")
     return order

@@ -142,12 +142,21 @@ def test_search_result_tables_are_pinned(capsys, tmp_path):
         "orderings_examined  0\n"), "")
 
 
-def test_radio_number_guard_suggests_search(capsys, tmp_path):
+def test_radio_number_refuses_only_past_the_distance_cache(capsys,
+                                                         tmp_path):
+    # ten vertices settle at once; only a flat graph past the 4096-vertex
+    # distance cache is refused, with one error line before any search
     code, out, _ = run(capsys, "builtin", "petersen")
     pet = write(tmp_path, "pet.txt", out)
-    code, out, err = run(capsys, "radio-number", pet)
-    assert code == 1
-    assert "search-consecutive" in err
+    code, out, err = run(capsys, "radio-number", pet, "--format", "json")
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    assert (result["status"], result["span"]) == ("exact", 10)
+    code, out, _ = run(capsys, "builtin", "path", "--n", "4097")
+    big = write(tmp_path, "p4097.txt", out)
+    code, out, err = run(capsys, "radio-number", big)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_search_consecutive(capsys, tmp_path):
@@ -282,8 +291,8 @@ def test_radio_number_budget_prints_an_upper_bound(capsys, tmp_path):
     # 86 with labels from 1 (Liu and Zhu)
     p14 = write(tmp_path, "p14.txt", counted_edge_list(
         14, [(v, v + 1) for v in range(13)]))
-    code, out, err = run(capsys, "radio-number", p14, "--limit", "14",
-                         "--budget", "0.2", "--format", "json")
+    code, out, err = run(capsys, "radio-number", p14, "--budget", "0.2",
+                         "--format", "json")
     assert code == 0 and err == ""
     result = json.loads(out)
     assert result["status"] == "timeout"
@@ -478,7 +487,6 @@ def cli_calls(draw):
                 + maybe(draw, "--all-violations") + draw(FORMATS))
     elif command == "radio-number":
         argv = ([graph()]
-                + maybe(draw, "--limit", str(draw(st.integers(-1, 7))))
                 + maybe(draw, "--no-prune")
                 + maybe(draw, "--symmetry-reduction")
                 + maybe(draw, "--budget", str(draw(BUDGETS))) + draw(FORMATS))

@@ -357,11 +357,14 @@ def test_k_radio_agrees_with_pairwise_scan(name, g, data):
                 reference_k_radio(g, labels, k, fail_fast), (name, k)
 
 
-def test_induced_rejects_non_permutation():
-    with pytest.raises(InvalidParameterError):
-        induced_labeling(path(3), (0, 1, 1))
-    with pytest.raises(InvalidParameterError):
-        induced_labeling(path(3), (0, 1))
+@pytest.mark.parametrize("check", [induced_labeling,
+                                   check_consecutive_ordering])
+def test_induced_rejects_non_permutation(check):
+    # a repeat, a short ordering, and one of the right length with a
+    # vertex out of range
+    for order in ((0, 1, 1), (0, 1), (0, 1, 3)):
+        with pytest.raises(InvalidParameterError):
+            check(path(3), order)
 
 
 # ---------------------------------------------------------------------------

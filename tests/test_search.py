@@ -107,7 +107,7 @@ def liu_zhu_span(n: int) -> int:
 def test_path_spans_match_liu_zhu(n):
     # P_11 took about 10 s under the eccentricity bound alone; the level
     # bound settles it in about 1 s
-    result = exact_radio_number(path(n), limit=n, time_budget=5)
+    result = exact_radio_number(path(n), time_budget=5)
     assert (result.status, result.span) == (EXACT, liu_zhu_span(n))
 
 
@@ -240,8 +240,7 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_exact_outputs_pinned_past_the_oracle(name, symmetry_reduction):
     g, expected = PINNED[name]
-    result = exact_radio_number(g, limit=10,
-                                symmetry_reduction=symmetry_reduction)
+    result = exact_radio_number(g, symmetry_reduction=symmetry_reduction)
     assert (result.status, result.span, result.ordering,
             result.labeling.labels, result.orderings_examined) == expected
 
@@ -308,13 +307,6 @@ def test_deterministic_repeat_runs():
     assert first == second
 
 
-def test_too_large_guard():
-    with pytest.raises(TooLargeError):
-        exact_radio_number(petersen())
-    with pytest.raises(TooLargeError):
-        exact_radio_number(complete(5), limit=4)
-
-
 def test_unpruned_counts_every_ordering():
     assert exact_radio_number(path(3), prune=False).orderings_examined == 6
 
@@ -338,9 +330,8 @@ def test_symmetry_reduction_preserves_optimum():
         ("C10", cycle(10)),
         ("K3xP3", cartesian_product(complete(3), path(3)))]
     for name, g in graphs:
-        n = g.vertex_count
-        reduced = exact_radio_number(g, limit=n, symmetry_reduction=True)
-        full = exact_radio_number(g, limit=n)
+        reduced = exact_radio_number(g, symmetry_reduction=True)
+        full = exact_radio_number(g)
         assert (reduced.status, reduced.span, reduced.ordering,
                 reduced.labeling) == (full.status, full.span, full.ordering,
                                       full.labeling), name
@@ -383,8 +374,8 @@ def test_symmetry_reduction_runs_deeper_than_the_recursion_limit():
     # ordering from one start takes about 0.1 s, so the greedy orderings
     # outlast the budget and the best of them is reported
     start = time.monotonic()
-    result = exact_radio_number(cycle(1100), limit=1100,
-                                symmetry_reduction=True, time_budget=1)
+    result = exact_radio_number(cycle(1100), symmetry_reduction=True,
+                                time_budget=1)
     assert time.monotonic() - start < 3.0
     assert result.status == TIMEOUT
     assert sorted(result.ordering) == list(range(1100))
@@ -500,13 +491,17 @@ def test_petersen_squared_witness():
     assert verify_witness(g, result.ordering)
 
 
-def test_witness_search_refuses_graphs_past_the_distance_cache():
-    # 15625 vertices: the search needs the full distance table, so it
-    # refuses before any work instead of running out its budget
+@pytest.mark.parametrize("search", [find_consecutive_ordering,
+                                    exact_radio_number],
+                         ids=["witness", "exact"])
+def test_witness_search_refuses_graphs_past_the_distance_cache(search):
+    # 15625 vertices: both searches need the full distance table, so they
+    # refuse before any work instead of running out their budget; the
+    # cache limit is the only size guard either search has
     g = cartesian_power(complete(5), 6)
     start = time.monotonic()
     with pytest.raises(TooLargeError):
-        find_consecutive_ordering(g, time_budget=60.0)
+        search(g, time_budget=60.0)
     assert time.monotonic() - start < 1.0
 
 
@@ -522,7 +517,7 @@ def deep_searches() -> dict:
     k32 = cartesian_power(complete(32), 2)
     return {
         # the first ordering meets the bound
-        "star": lambda: exact_radio_number(star(1000), limit=1001),
+        "star": lambda: exact_radio_number(star(1000)),
         "K32^2": lambda: find_consecutive_ordering(k32),
     }
 
@@ -555,7 +550,7 @@ def test_exact_walk_keeps_one_list_slot_per_gap():
     g.distance_matrix()
     tracemalloc.start()
     try:
-        result = exact_radio_number(g, limit=401)
+        result = exact_radio_number(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -630,13 +625,12 @@ def test_budget_bounds_a_flat_graph_table(search):
     # filling them all took about 2 s before the deadline was polled
     # between rows
     g, _ = relabelled(cartesian_power(complete(6), 4), 10)
-    n = g.vertex_count
     assert g.factors is None
     start = time.monotonic()
     if search == "witness":
         result = find_consecutive_ordering(g, time_budget=0)
     else:
-        result = exact_radio_number(g, limit=n, time_budget=0)
+        result = exact_radio_number(g, time_budget=0)
     assert time.monotonic() - start < 0.5
     assert result.status == TIMEOUT
     assert (result.span, result.ordering) == (None, None)
@@ -648,7 +642,7 @@ def test_exact_budget_returns_an_upper_bound():
     # budget runs out, so the span is at most the best greedy span
     g = path(14)
     start = time.monotonic()
-    result = exact_radio_number(g, limit=14, time_budget=0.5)
+    result = exact_radio_number(g, time_budget=0.5)
     assert time.monotonic() - start < 2.0
     assert result.status == TIMEOUT
     assert liu_zhu_span(14) <= result.span <= min(greedy_spans(g))
@@ -666,8 +660,8 @@ def test_budget_bounds_the_symmetry_reduction(graph, monkeypatch):
     # start, however fast the host would test the orbits
     dist = graph.distance_matrix()
     start = time.monotonic()
-    result = exact_radio_number(graph, limit=graph.vertex_count,
-                                symmetry_reduction=True, time_budget=0)
+    result = exact_radio_number(graph, symmetry_reduction=True,
+                                time_budget=0)
     assert time.monotonic() - start < 1.0
     assert (result.status, result.span, result.ordering) \
         == (TIMEOUT, None, None)
@@ -689,8 +683,7 @@ def test_budget_bounds_each_orbit_test():
     # cut each of them at the first position, so the answer is exact
     g = star(600)
     start = time.monotonic()
-    result = exact_radio_number(g, limit=601, symmetry_reduction=True,
-                                time_budget=1)
+    result = exact_radio_number(g, symmetry_reduction=True, time_budget=1)
     assert time.monotonic() - start < 2.0
     assert (result.status, result.span) == (EXACT, 602)
 
@@ -700,8 +693,7 @@ def test_symmetry_reduction_times_out_with_an_upper_bound():
     # return no ordering; the greedy orderings from all 300 starts take
     # about 2.4 s, so the best of those finished is reported
     g = cycle(300)
-    result = exact_radio_number(g, limit=300, symmetry_reduction=True,
-                                time_budget=0.5)
+    result = exact_radio_number(g, symmetry_reduction=True, time_budget=0.5)
     assert result.status == TIMEOUT
     assert sorted(result.ordering) == list(range(300))
     assert check_radio(g, result.labeling) == []
