@@ -16,7 +16,8 @@ import sys
 import time
 from array import array
 from collections import deque
-from typing import Callable, Iterable, Optional, Sequence, TextIO, Union
+from typing import (Callable, Iterable, Iterator, Optional, Sequence, TextIO,
+                    Union)
 
 from .errors import (
     ArityMismatchError,
@@ -177,15 +178,17 @@ class Graph:
 
     def distance_matrix(self, deadline: float = math.inf
                         ) -> Optional[DistanceMatrix]:
-        """All-pairs hop distances, filled once and cached: by BFS on a flat
-        graph, one source row at a time, by summing the factors' tables on
-        a product.
+        """All-pairs hop distances, filled once and cached, one row at a
+        time: a flat graph's rows by BFS from each source, a product's by
+        summing its factors' tables, each row built only when the fill
+        asks for it.
 
-        If time.monotonic() passes ``deadline`` between two BFS rows, the
-        partial table is dropped and None returned; a search passes its
-        deadline, so its budget bounds a flat graph's table.  Without a
-        deadline the result is never None.  Raises TooLargeError above
-        DISTANCE_CACHE_LIMIT vertices.
+        If time.monotonic() passes ``deadline`` between two rows, or while
+        a factor's table is filled under the same deadline, the partial
+        table is dropped and None returned; a search passes its deadline,
+        so its budget bounds every table.  Without a deadline the result
+        is never None.  Raises TooLargeError above DISTANCE_CACHE_LIMIT
+        vertices.
         """
         if self._dist is None:
             if self._n > DISTANCE_CACHE_LIMIT:
@@ -196,21 +199,20 @@ class Graph:
                     f"cartesian_power or read from an edge list in the "
                     f"vertex numbering it gives them")
             if self._factors is None:
-                rows = []
-                for source in range(self._n):
-                    if time.monotonic() > deadline:
-                        return None
-                    rows.append(bfs_distances(self, source))
-                self._dist = rows
+                rows = (bfs_distances(self, s) for s in range(self._n))
             else:
-                # folding the factors left to right, numbering (g, h) as
-                # g|H| + h, as _materialize_product_adjacency does
-                table = self._factors[0].distance_matrix()
-                for f in self._factors[1:]:
-                    h_table = f.distance_matrix()
-                    table = [[a + b for a in ra for b in rh]
-                             for ra in table for rh in h_table]
-                self._dist = table
+                tables = [f.distance_matrix(deadline) for f in self._factors]
+                if None in tables:
+                    return None
+                rows = tables[0]
+                for h_table in tables[1:]:
+                    rows = _product_rows(rows, h_table)
+            table = []
+            for row in rows:
+                if time.monotonic() > deadline:
+                    return None
+                table.append(row)
+            self._dist = table
         return self._dist
 
     def _distance_function(self) -> Callable[[int, int], int]:
@@ -300,6 +302,16 @@ class Graph:
         if self._factors is not None and self._adjacency is None:
             return f"Graph(vertices={self._n}, factors={len(self._factors)})"
         return f"Graph(vertices={self._n}, edges={self.edge_count})"
+
+
+def _product_rows(rows: Iterable[list], h_table: DistanceMatrix
+                  ) -> Iterator[list]:
+    """The distance rows of G x H from G's rows and H's table, built one
+    at a time as they are asked for, numbering (g, h) as g|H| + h, as
+    Graph._materialize_product_adjacency does.  A function, so that each
+    fold stage keeps its own h_table: a generator expression's inner for
+    looks its name up only when it runs."""
+    return ([a + b for a in ra for b in rh] for ra in rows for rh in h_table)
 
 
 def _packed_window(sizes: Sequence[int], order: tuple

@@ -207,16 +207,17 @@ def exact_radio_number(graph: Graph, prune: bool = True,
 
     The time budget, which starts on entry, is the only bound on running
     time: it also bounds the greedy orderings, the orbit tests and the
-    filling of a flat graph's distance table.  Once it runs out the
-    search returns timeout with the best ordering found so far, greedy or
-    walked, whose span is an upper bound on the radio number and at most
-    the best greedy span, or with no ordering if not even one greedy
-    ordering was completed.  Three steps run past it (2-vCPU host): the
-    reported labeling is induced once more, in O(|V| diam) (P_2000, table
-    filled, 1-s budget: 1.5-1.6 s, 0.5-0.6 s of it this labeling); with
-    prune=False each ordering is induced in full between polls (P_4096,
-    table filled, 1-s budget: 4.6-4.8 s); and a product's table, summed
-    from its factors' tables, is not polled (K_4^6, budget 0: 0.9-1.2 s).
+    filling of the distance table, flat or product, and it is polled
+    once more before the O(|V|^2) scans of a table already in hand.
+    Once it runs out the search returns timeout with the best ordering
+    found so far, greedy or walked, whose span is an upper bound on the
+    radio number and at most the best greedy span, or with no ordering
+    if not even one greedy ordering was completed.  Two steps run past
+    it (2-vCPU host): the pruned walk's reported labeling is induced once
+    more, in O(|V| diam) (P_2000, table filled, 1-s budget: 1.5-1.6 s,
+    0.5-0.6 s of it this labeling); and with prune=False each ordering
+    is induced in full between polls, once each (P_4096, table filled,
+    1-s budget: 2.5-3.5 s).
     Raises InvalidParameterError for a budget that is negative, infinite
     or NaN, and TooLargeError above the distance cache limit,
     graphs.DISTANCE_CACHE_LIMIT vertices, before any search.
@@ -224,7 +225,8 @@ def exact_radio_number(graph: Graph, prune: bool = True,
     deadline = _deadline(time_budget)
     n = graph.vertex_count
     dist = graph.distance_matrix(deadline)
-    if dist is None:
+    # the scans below read the whole table before the first poll
+    if dist is None or time.monotonic() > deadline:
         return _result(graph, TIMEOUT, None, 0)
     if not prune:
         return _enumerate_all(graph, deadline)
@@ -337,24 +339,26 @@ def _greedy_incumbent(dist: list, bound: int, floors: list,
 
 
 def _enumerate_all(graph: Graph, deadline: float) -> SearchResult:
-    best_span, best_order = math.inf, None
+    best, best_order = None, None
     examined = 0
     for order in permutations(range(graph.vertex_count)):
         if time.monotonic() > deadline:
-            return _result(graph, TIMEOUT, best_order, examined)
+            return _result(graph, TIMEOUT, best_order, examined, best)
         examined += 1
-        span = induced_labeling(graph, order).span
-        if span < best_span:
-            best_span = span
-            best_order = order
-    return _result(graph, EXACT, best_order, examined)
+        labeling = induced_labeling(graph, order)
+        if best is None or labeling.span < best.span:
+            best, best_order = labeling, order
+    return _result(graph, EXACT, best_order, examined, best)
 
 
 def _result(graph: Graph, status: str, order: Optional[tuple],
-            examined: int) -> SearchResult:
+            examined: int, labeling: Optional[Labeling] = None
+            ) -> SearchResult:
     """The one place a SearchResult is built: order is the best or witness
-    ordering, or None, and the span and labels are those it induces."""
-    labeling = induced_labeling(graph, order) if order is not None else None
+    ordering, or None, and the span and labels are those it induces,
+    induced here unless the caller passes that labeling."""
+    if labeling is None and order is not None:
+        labeling = induced_labeling(graph, order)
     return SearchResult(status, labeling.span if labeling else None, order,
                         labeling, examined)
 
@@ -385,8 +389,8 @@ def find_consecutive_ordering(graph: Graph,
 
     Returns witness-found, exhausted-no-witness when the whole tree was
     explored, or timeout once the budget, which starts on entry and also
-    bounds the filling of a flat graph's distance table, runs out.  Raises
-    TooLargeError above the distance cache limit,
+    bounds the filling of the distance table, flat or product, runs
+    out.  Raises TooLargeError above the distance cache limit,
     graphs.DISTANCE_CACHE_LIMIT vertices, and InvalidParameterError for a
     budget that is negative, infinite or NaN.
     """

@@ -179,6 +179,21 @@ def test_flat_table_stops_at_the_deadline():
     assert g.distance_matrix(time.monotonic() - 1) is table
 
 
+def test_product_table_stops_at_the_deadline():
+    # a product's rows come through the same polled loop as a flat graph's:
+    # with no factor table filled the first factor's fill gives up, and
+    # with every factor's table filled the loop gives up before a row
+    g = cartesian_product(cartesian_product(path(3), cycle(4)), complete(2))
+    assert g.distance_matrix(time.monotonic() - 1) is None
+    for factor in g.factors:
+        assert factor.distance_matrix(time.monotonic() - 1) is None
+        factor.distance_matrix()
+    assert g.distance_matrix(time.monotonic() - 1) is None
+    table = g.distance_matrix(time.monotonic() + 60)
+    assert table == all_pairs_distances(g)
+    assert g.distance_matrix(time.monotonic() - 1) is table
+
+
 # ---------------------------------------------------------------------------
 # products and powers
 # ---------------------------------------------------------------------------

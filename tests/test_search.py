@@ -13,6 +13,7 @@ from conftest import (kernel_corpus, random_connected, relabelled,
                       small_corpus, star)
 from radiolabel import (
     EXACT,
+    Graph,
     EXHAUSTED,
     InvalidParameterError,
     TIMEOUT,
@@ -109,6 +110,22 @@ def test_path_spans_match_liu_zhu(n):
     # bound settles it in about 1 s
     result = exact_radio_number(path(n), time_budget=5)
     assert (result.status, result.span) == (EXACT, liu_zhu_span(n))
+
+
+def liu_zhu_cycle_span(n: int) -> int:
+    """rn(C_n) for n >= 3 by Liu and Zhu (SIAM J. Discrete Math. 19, 2005),
+    labels from 1: with n = 4k + r and phi = k + 1 if r = 1, else k + 2,
+    (n - 2) / 2 * phi + 2 for even n and (n - 1) / 2 * phi + 1 for odd n."""
+    k, r = divmod(n, 4)
+    phi = k + 1 if r == 1 else k + 2
+    return (n - 2) // 2 * phi + 2 if n % 2 == 0 else (n - 1) // 2 * phi + 1
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_cycle_spans_match_liu_zhu(n):
+    # each takes under 0.05 s; C_11 takes about 1 s and C_12 several
+    result = exact_radio_number(cycle(n), time_budget=5)
+    assert (result.status, result.span) == (EXACT, liu_zhu_cycle_span(n))
 
 
 def greedy_spans(graph) -> list:
@@ -620,6 +637,42 @@ def test_witness_budget_bounds_the_distance_table():
 
 
 @pytest.mark.parametrize("search", ["witness", "exact"])
+@pytest.mark.parametrize("build", [
+    lambda: cartesian_power(complete(4), 6),
+    lambda: cartesian_product(path(2048), complete(2)),
+], ids=["K4^6", "P2048xK2"])
+def test_budget_bounds_a_product_table(build, search):
+    # summing the factors' tables into the product's took 0.7-1.5 s on
+    # K_4^6 and 1.9-3.3 s on P_2048 x K_2 before the fill was polled
+    # between rows and filled its factors under the same deadline
+    g = build()
+    start = time.monotonic()
+    if search == "witness":
+        result = find_consecutive_ordering(g, time_budget=0)
+    else:
+        result = exact_radio_number(g, time_budget=0)
+    assert time.monotonic() - start < 0.5
+    assert (result.status, result.ordering) == (TIMEOUT, None)
+
+
+def test_exact_budget_is_polled_before_the_root_scans(monkeypatch):
+    # with K_4^6's table already filled, the cost and level scans over its
+    # 4096^2 entries took about 0.36 s before the first poll; the diameter
+    # is read just before them
+    g = cartesian_power(complete(4), 6)
+    g.distance_matrix()
+
+    def refuse(self):
+        raise AssertionError("the table was scanned past the deadline")
+
+    monkeypatch.setattr(Graph, "diameter", refuse)
+    start = time.monotonic()
+    result = exact_radio_number(g, time_budget=0)
+    assert time.monotonic() - start < 0.5
+    assert (result.status, result.ordering) == (TIMEOUT, None)
+
+
+@pytest.mark.parametrize("search", ["witness", "exact"])
 def test_budget_bounds_a_flat_graph_table(search):
     # a relabelled K_6^4 reads flat, so its 1296 rows are found by BFS;
     # filling them all took about 2 s before the deadline was polled
@@ -730,6 +783,23 @@ def test_unpruned_enumeration_polls_the_budget():
     assert result.span >= liu_zhu_span(9)
     assert result.orderings_examined > 0
     assert result.labeling.span == result.span
+
+
+def test_unpruned_enumeration_induces_each_ordering_once(monkeypatch):
+    # the best ordering's labeling is the one the enumeration induced: the
+    # 3! orderings of P_3 take 6 calls, not 7
+    calls = []
+
+    def counted(graph, order):
+        calls.append(order)
+        return induced_labeling(graph, order)
+
+    monkeypatch.setattr("radiolabel.search.induced_labeling", counted)
+    result = exact_radio_number(path(3), prune=False)
+    assert (result.status, result.span, result.ordering) \
+        == (EXACT, 4, (0, 2, 1))
+    assert result.labeling.labels == (1, 4, 2)
+    assert sorted(calls) == list(permutations(range(3)))
 
 
 def test_exact_zero_budget_times_out_without_an_ordering():
