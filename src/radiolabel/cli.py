@@ -87,13 +87,25 @@ def _cmd_power(args) -> int:
 
 def _cmd_order_knt(args) -> int:
     order = knt.knt_ordering(args.n, args.t)
-    payload = {"n": args.n, "t": args.t}
     if args.flat:
-        payload["order"] = knt.flat_indices(order, args.n)
-    else:
-        payload["order"] = [list(coords) for coords in order]
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        order = knt.flat_indices(order, args.n)
+    _emit(_ordering_json(args.n, args.t, order), args.out)
     return 0
+
+
+def _ordering_json(n: int, t: int, order: list) -> str:
+    """The text json.dumps({"n": n, "t": t, "order": order}, indent=2)
+    writes, plus a newline, written directly, as lb.labeling_to_json is:
+    with indent, json.dumps takes its pure-Python encoder.  order is a
+    non-empty list of flat indices or of non-empty coordinate tuples, all
+    exact ints, so the layout is fixed."""
+    if isinstance(order[0], int):
+        items = map(str, order)
+    else:
+        items = ("[\n      " + ",\n      ".join(map(str, coords)) + "\n    ]"
+                 for coords in order)
+    return (f'{{\n  "n": {n},\n  "t": {t},\n  "order": [\n    '
+            + ",\n    ".join(items) + "\n  ]\n}\n")
 
 
 def _cmd_induce(args) -> int:

@@ -185,11 +185,23 @@ def check_consecutive_ordering(graph: Graph, order: Sequence[int]) -> bool:
 
 
 def _window_holds(graph: Graph, order: tuple) -> bool:
-    """The window criterion on a validated ordering."""
+    """The window criterion on a validated ordering.  Packed distances
+    come as bytes, each below 256: the offset holds when deleting every
+    byte of at least diam - c + 1 leaves none, a C-level pass instead of
+    a min() over one int object per distance.  Mapped distances may pass
+    255 and take the min()."""
     diam = graph.diameter()
     window = graph._window_distances(order)
-    return all(min(window(c), default=diam) >= diam - c + 1
-               for c in range(1, diam + 1))
+    for c in range(1, diam + 1):
+        need = diam - c + 1
+        distances = window(c)
+        if type(distances) is bytes:
+            short = distances.translate(None, bytes(range(need, 256)))
+        else:
+            short = min(distances, default=need) < need
+        if short:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

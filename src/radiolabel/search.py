@@ -17,7 +17,8 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Iterator, Optional
+from operator import add
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import InvalidParameterError
 from .graphs import Graph
@@ -144,7 +145,7 @@ def exact_radio_number(graph: Graph, prune: bool = True,
 
     The pruned walk cuts a partial ordering once its last label plus a
     lower bound on the cost of the unplaced vertices reaches the best known
-    span; the bound is the larger of two.  Each step from u to the next
+    span; the bound is the largest of three.  Each step from u to the next
     vertex w raises the label by at least diam + 1 - d(u, w), and by at
     least 1.
     - Eccentricity bound: d(u, w) <= ecc(w), so the sum of
@@ -155,21 +156,35 @@ def exact_radio_number(graph: Graph, prune: bool = True,
       steps after the last placed vertex v, the rest costs at least
       r(diam + 1) - L(v) - 2 * (sum of L(w) over the unplaced w): each
       unplaced vertex is an end of at most two of those steps, v of one.
+    - Pair bound: two consecutive steps x, y, z raise the label by at
+      least 2(diam + 1) - d(x, y) - d(y, z), and by at least diam + 1 -
+      d(x, z), since the labeling is radio; so by at least pair =
+      max(2, ceil((3(diam + 1) - T) / 2)), where T is the largest
+      d(a, b) + d(b, c) + d(a, c) over the vertex triples, and r more
+      steps cost at least tail[r] = (r // 2) * pair + r % 2.  On C_n,
+      T = n.  Where pair is 2, tail[r] = r and the eccentricity bound,
+      at least 1 a step, is never below it, so no tail is built.
     The eccentricity argument is the one Liu and Zhu use for paths and
-    cycles, and the level sum the one they use for paths (SIAM J. Discrete
-    Math. 19, 2005) and Liu uses for trees ("Radio number for trees",
-    Discrete Math. 308, 2008).  Each node of the walk carries both bounds,
-    its last label and a gap vector: w placed next takes that label plus
-    gap[w], where the label w takes is the maximum over the placed p of
-    label(p) + diam + 1 - d(w, p), and 1 at the root (last label 0, every
-    gap 1).  The last placed vertex's term alone exceeds its label, since
-    d <= diam, and a term from more than diam positions back never decides
-    the label (see induced_labeling), so this is w's induced label.  Once
-    v is placed, the child's gaps are max(gap[w] - gap[v], diam + 1 -
-    d(v, w)), one pass over v's row, and each candidate's label is one
-    read.  Every gap lies in 1..diam + 1, so below diameter 256 it is one
-    of CPython's cached small ints and a vector costs one 8-byte list slot
-    an entry.  At full depth the vectors take |V|^2 slots, as much as the
+    cycles, the level sum the one they use for paths, and the triple sum
+    the one they use for cycles ("Multilevel distance labelings for paths
+    and cycles", SIAM J. Discrete Math. 19, 2005); Liu uses the level sum
+    for trees ("Radio number for trees", Discrete Math. 308, 2008), and
+    Das, Ghosh, Nandi and Sen generalise the triple sum ("A lower bound
+    technique for radio k-coloring", Discrete Math. 340, 2017).  Each node
+    of the walk carries the eccentricity and level bounds (the pair bound
+    depends on the depth alone), its last label and a gap vector: w placed
+    next takes that label plus gap[w], where the label w takes is the
+    maximum over the placed p of label(p) + diam + 1 - d(w, p), and 1 at
+    the root (last label 0, every gap 1).  The last placed vertex's term
+    alone exceeds its label, since d <= diam, and a term from more than
+    diam positions back never decides the label (see induced_labeling), so
+    this is w's induced label.  Once v is placed, the child's gaps are
+    max(gap[w] - gap[v], diam + 1 - d(v, w)), one pass over v's row, and
+    each candidate's label is one read; each bound then cuts w with one
+    comparison of gap[w] against the room it leaves below the best span.
+    Every gap lies in 1..diam + 1, so below diameter 256 it is one of
+    CPython's cached small ints and a vector costs one 8-byte list slot an
+    entry.  At full depth the vectors take |V|^2 slots, as much as the
     distance table: on the 4096 vertices of star(4095) the walk's
     tracemalloc peak is 130 MiB, beside the table's 128 MiB.  Above
     diameter 255 an entry may also hold its own int object, up to about
@@ -177,9 +192,20 @@ def exact_radio_number(graph: Graph, prune: bool = True,
 
     Before the walk, a greedy ordering is built from each start vertex:
     it repeatedly appends the unplaced vertex of least induced label,
-    ties to the lowest index, in O(|V|^2) per start.  A start whose two
+    ties to the lowest index, in O(|V|^2) per start.  A start whose
     bounds at the first position already reach the best greedy span so
     far is skipped, since its greedy ordering cannot be strictly better.
+    T is found after the first greedy ordering and before the others, so
+    a budget that ends in its scan still reports an upper bound.  The
+    scan takes O(|V|^3), one C-level pass over two rows per vertex pair,
+    polls the deadline once per row, and stops at the first triple of
+    3 diam - 1 or more, past which pair is 2 (on a star, at the first
+    pair of leaves).  On a cycle the pair floor of every start is the
+    radio number, so once a greedy ordering reaches it every other start
+    is skipped and the walk's root is cut: C_100 is exact in about
+    0.02 s and C_300 in about 0.5 s (2-vCPU host), nearly all of it the
+    scan, where the eccentricity and level bounds alone took 1.5 s on
+    C_11 and did not settle C_16 in 20 s.
     The walk starts with the best greedy ordering as its incumbent and
     best span one above its span, so the bounds prune from the first
     node.  The walk is lexicographic and reaches a leaf only when it
@@ -206,9 +232,10 @@ def exact_radio_number(graph: Graph, prune: bool = True,
     settle the search.
 
     The time budget, which starts on entry, is the only bound on running
-    time: it also bounds the greedy orderings, the orbit tests and the
-    filling of the distance table, flat or product, and it is polled
-    once more before the O(|V|^2) scans of a table already in hand.
+    time: it also bounds the greedy orderings, the triple scan, the orbit
+    tests and the filling of the distance table, flat or product, and it
+    is polled once more before the O(|V|^2) scans of a table already in
+    hand.
     Once it runs out the search returns timeout with the best ordering
     found so far, greedy or walked, whose span is an upper bound on the
     radio number and at most the best greedy span, or with no ordering
@@ -237,9 +264,22 @@ def exact_radio_number(graph: Graph, prune: bool = True,
     level = min(dist, key=sum)  # distances from the first central vertex
     rest = sum(cost)
     reach = (n - 1) * bound - 2 * sum(level)
+    floors = [1 + max(rest - c, reach + l) for c, l in zip(cost, level)]
+    best = _greedy_incumbent(dist, bound, floors, deadline, range(1))
+    # the triple scan runs once a greedy ordering is in hand, so a budget
+    # that ends inside it still reports an upper bound; tail[r] bounds the
+    # cost of r more steps, built only where a pair of steps costs more
+    # than 2
+    largest = _largest_triple(dist, diam, deadline)
+    # None past the deadline: then no tail, and the polls after it end
+    # the search
+    pair = 2 if largest is None else (3 * bound - largest + 1) // 2
+    tail = None
+    if pair > 2:
+        tail = [r // 2 * pair + r % 2 for r in range(n)]
+        floors = [max(f, 1 + tail[n - 1]) for f in floors]
     greedy_span, best_order = _greedy_incumbent(
-        dist, bound, [1 + max(rest - c, reach + l)
-                      for c, l in zip(cost, level)], deadline)
+        dist, bound, floors, deadline, range(1, n), best)
     # one above the greedy span, so the walk still reaches the
     # lexicographically first optimum when the greedy ordering is one
     best_span = greedy_span + 1
@@ -258,19 +298,28 @@ def exact_radio_number(graph: Graph, prune: bool = True,
     timed_out = time.monotonic() > deadline
     while depth >= 0 and not timed_out:
         candidates, rest, last, gap, reach = nodes[depth]
+        # candidate v takes label last + gap[v]; it is cut once that label
+        # plus a bound on the steps after it reaches best_span.  Each room
+        # is best_span - last less one bound, so a cut is one comparison
+        # on gap[v]: the pair bound tail[r], the eccentricity bound
+        # rest - cost[v] and the level bound reach + level[v]
+        room = best_span - last
+        pair_room = room - tail[n - depth - 1] if tail else room
+        ecc_room = room - rest
+        level_room = room - reach
         for v in candidates:
             if used[v]:
                 continue
             step = gap[v]
-            label = last + step
-            after = rest - cost[v]
-            if (label + after >= best_span
-                    or label + reach + level[v] >= best_span):
+            if (step >= pair_room or step - cost[v] >= ecc_room
+                    or step + level[v] >= level_room):
                 continue
             order[depth] = v
+            label = last + step
             if depth + 1 == n:
-                # a leaf: after is 0, so the cut above let through only a
-                # span below the best
+                # a leaf: its tail and rest are 0, so the cut above let
+                # through only a span below the best, and no other
+                # candidate is left unplaced at this depth
                 examined += 1
                 best_span, best_order = label, tuple(order)
                 continue
@@ -278,7 +327,7 @@ def exact_radio_number(graph: Graph, prune: bool = True,
             depth += 1
             # max(x, step + bound - d) - step: the gaps past label
             top = step + bound
-            nodes[depth] = (iter(range(n)), after, label,
+            nodes[depth] = (iter(range(n)), rest - cost[v], label,
                             [x - step if x > (y := top - d) else y - step
                              for x, d in zip(gap, dist[v])],
                             reach - bound + 2 * level[v])
@@ -293,9 +342,37 @@ def exact_radio_number(graph: Graph, prune: bool = True,
                    examined)
 
 
+def _largest_triple(dist: list, diam: int, deadline: float
+                    ) -> Optional[int]:
+    """T, the largest d(a, b) + d(b, c) + d(a, c) over the vertex triples,
+    or, once a triple reaches 3 diam - 1, that triple's sum: no larger T
+    can lift the pair bound above 2.  None once the deadline passes.
+
+    Each pair a < b costs one C-level pass, d(a, b) plus the largest
+    d(a, c) + d(b, c), and a triple with a repeated vertex sums to at most
+    2 diam, which some triple of three vertices reaches once |V| >= 3.
+    The deadline is polled once per row a: O(|V|^2) between polls."""
+    n = len(dist)
+    enough = 3 * diam - 1
+    largest = 0
+    for a in range(n - 1):
+        if time.monotonic() > deadline:
+            return None
+        row = dist[a]
+        for b in range(a + 1, n):
+            t = row[b] + max(map(add, row, dist[b]))
+            if t > largest:
+                largest = t
+                if t >= enough:
+                    return t
+    return largest
+
+
 def _greedy_incumbent(dist: list, bound: int, floors: list,
-                      deadline: float) -> tuple:
-    """(span, ordering) of the best greedy ordering, or (inf, None) if none
+                      deadline: float, starts: Iterable[int],
+                      best: tuple = (math.inf, None)) -> tuple:
+    """(span, ordering) of the best greedy ordering from the given starts,
+    or best if none is better, (inf, None) by default, and best too if none
     was completed before the deadline.  dist is the distance table, bound
     is diam + 1, and floors[s] is a lower bound on the span of every
     ordering starting at s.
@@ -313,8 +390,8 @@ def _greedy_incumbent(dist: list, bound: int, floors: list,
     skipped this way.  The deadline is polled before each start and each
     step, and an ordering cut short counts for nothing."""
     n = len(dist)
-    best_span, best_order = math.inf, None
-    for s in range(n):
+    best_span, best_order = best
+    for s in starts:
         if time.monotonic() > deadline:
             return best_span, best_order
         if floors[s] >= best_span:

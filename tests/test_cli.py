@@ -10,8 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import counted_edge_list
-from radiolabel import parse_edge_list
-from radiolabel.cli import main
+from radiolabel import flat_indices, knt_ordering, parse_edge_list
+from radiolabel.cli import _ordering_json, main
 
 
 def run(capsys, *argv):
@@ -61,6 +61,28 @@ def test_order_knt_shapes(capsys):
     code, out, _ = run(capsys, "order-knt", "--n", "3", "--t", "2", "--flat")
     data = json.loads(out)
     assert data["order"] == [0, 4, 8, 1, 5, 6, 2, 3, 7]
+
+
+@pytest.mark.parametrize("n,t", [(3, 1), (3, 2), (4, 3), (5, 1), (5, 5)])
+@pytest.mark.parametrize("flat", [False, True])
+def test_order_knt_writes_what_json_dumps_writes(capsys, n, t, flat):
+    order = knt_ordering(n, t)
+    payload = {"n": n, "t": t,
+               "order": (flat_indices(order, n) if flat
+                         else [list(coords) for coords in order])}
+    argv = ["order-knt", "--n", str(n), "--t", str(t)] + ["--flat"] * flat
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("t, order", [(1, [0]), (1, [(0,)]), (2, [(0, 0)])])
+def test_ordering_json_on_one_vertex(t, order):
+    # order-knt refuses n < 3, but the writer's layout holds for any
+    # non-empty ordering: one flat index, or one tuple of t coordinates
+    entries = [x if isinstance(x, int) else list(x) for x in order]
+    assert _ordering_json(1, t, order) \
+        == json.dumps({"n": 1, "t": t, "order": entries}, indent=2) + "\n"
 
 
 def test_induce_verify_pipeline(capsys, tmp_path):

@@ -35,6 +35,7 @@ from radiolabel import (
     path,
     petersen,
 )
+from radiolabel import graphs
 from radiolabel.labeling import (
     labeling_from_json,
     labeling_to_json,
@@ -309,6 +310,29 @@ def test_window_kernel_matches_the_distance_function(name, g):
             naive_induced(g, order), order
     if name in ("K4^3", "K8^2"):
         assert True in windows
+
+
+@pytest.mark.parametrize("name, g", COMPLETE_PRODUCTS,
+                         ids=[name for name, _ in COMPLETE_PRODUCTS])
+def test_packed_and_mapped_windows_give_the_same_verdicts(name, g,
+                                                          monkeypatch):
+    # the packed path tests each offset's bytes by deleting those far
+    # enough; with _packed_window refused, the same orderings take the
+    # min() over the mapped distances
+    rng = random.Random(name)
+    n = g.vertex_count
+    orders = window_orders(name, g, rng)
+    orders += [tuple(rng.sample(range(n), n)) for _ in range(5)]
+    assert all(isinstance(g._window_distances(order)(1), bytes)
+               for order in orders)
+    packed = [check_consecutive_ordering(g, order) for order in orders]
+    monkeypatch.setattr(graphs, "_packed_window", lambda sizes, order: None)
+    assert not isinstance(g._window_distances(orders[0])(1), bytes)
+    assert [check_consecutive_ordering(g, order) for order in orders] \
+        == packed == [reference_window(g, order) for order in orders]
+    assert False in packed
+    if name in ("K4^3", "K8^2"):
+        assert True in packed
 
 
 def test_window_kernel_offsets_past_the_ordering_are_empty():

@@ -4,7 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,8 +34,9 @@ from radiolabel import (
     petersen,
     verify_witness,
 )
-from radiolabel.search import (_automorphism_test,
-                               _first_vertex_representatives)
+from radiolabel import search
+from radiolabel.search import (DEFAULT_TIME_BUDGET, _automorphism_test,
+                               _first_vertex_representatives, _largest_triple)
 
 
 def representatives(graph, deadline=math.inf) -> list:
@@ -121,11 +122,18 @@ def liu_zhu_cycle_span(n: int) -> int:
     return (n - 2) // 2 * phi + 2 if n % 2 == 0 else (n - 1) // 2 * phi + 1
 
 
-@pytest.mark.parametrize("n", range(4, 11))
+@pytest.mark.parametrize("n", range(4, 61))
 def test_cycle_spans_match_liu_zhu(n):
-    # each takes under 0.05 s; C_11 takes about 1 s and C_12 several
+    # under the eccentricity and level bounds alone C_11 took about 1.5 s,
+    # C_12 several, and every cycle from C_16 up ran out of budget; the
+    # pair bound settles each of these in a few milliseconds
     result = exact_radio_number(cycle(n), time_budget=5)
     assert (result.status, result.span) == (EXACT, liu_zhu_cycle_span(n))
+
+
+def test_c100_is_exact_within_the_default_budget():
+    result = exact_radio_number(cycle(100), time_budget=DEFAULT_TIME_BUDGET)
+    assert (result.status, result.span) == (EXACT, liu_zhu_cycle_span(100))
 
 
 def greedy_spans(graph) -> list:
@@ -240,6 +248,74 @@ def test_c9_keeps_the_lexicographically_first_optimum():
     result = exact_radio_number(cycle(9))
     assert result.span == 13
     assert result.ordering == (0, 4, 7, 2, 5, 8, 3, 6, 1)
+
+
+def largest_triple_by_scan(graph) -> int:
+    """The largest d(a, b) + d(b, c) + d(a, c) over three distinct
+    vertices, by trying every triple; the reference for the triple scan."""
+    dist = all_pairs_distances(graph)
+    return max(dist[a][b] + dist[b][c] + dist[a][c]
+               for a, b, c in combinations(range(graph.vertex_count), 3))
+
+
+def pair_step(diam: int, largest: int) -> int:
+    """The least rise of the label over two consecutive steps: each pair
+    among x, y, z asks for diam + 1 - d, and the three add up to twice
+    the rise from x to z."""
+    return max(2, math.ceil((3 * (diam + 1) - largest) / 2))
+
+
+TRIPLE_CORPUS = ([(name, g) for name, g in bound_corpus()
+                  if g.vertex_count >= 3]
+                 + [(f"star{k}", star(k)) for k in (2, 3, 7, 20)]
+                 + [(f"C{n}", cycle(n)) for n in (3, 8, 13, 24)])
+
+
+@pytest.mark.parametrize("name,g", TRIPLE_CORPUS,
+                         ids=[name for name, _ in TRIPLE_CORPUS])
+def test_triple_scan_matches_every_triple(name, g):
+    # the scan may stop at the first triple of 3 diam - 1 or more, where
+    # the pair bound is already down to its floor of 2
+    diam = g.diameter()
+    expected = largest_triple_by_scan(g)
+    found = _largest_triple(g.distance_matrix(), diam, math.inf)
+    if expected >= 3 * diam - 1:
+        assert 3 * diam - 1 <= found <= expected
+    else:
+        assert found == expected
+    assert pair_step(diam, found) == pair_step(diam, expected)
+
+
+def test_triple_scan_stops_at_the_first_triple_past_the_floor(monkeypatch):
+    # star(1000): the hub's row has no triple above 4, the first pair of
+    # leaves with any third leaf reaches 6 >= 3 diam - 1, so the scan
+    # polls the clock for two rows of the 1000
+    g = star(1000)
+    dist = g.distance_matrix()
+    polls = []
+    monkeypatch.setattr(search.time, "monotonic",
+                        lambda: polls.append(None) or 0.0)
+    assert _largest_triple(dist, 2, 1.0) == 6
+    assert len(polls) == 2
+
+
+def test_triple_scan_polls_the_deadline_per_row():
+    g = cycle(60)
+    assert _largest_triple(g.distance_matrix(), 30,
+                           time.monotonic() - 1) is None
+
+
+def test_cycle_1100_times_out_on_time_with_a_greedy_ordering():
+    # one greedy ordering takes about 0.1 s and the triple scan of all
+    # 1100 rows far longer than the budget; polled per row, it ends there
+    g = cycle(1100)
+    g.distance_matrix()
+    start = time.monotonic()
+    result = exact_radio_number(g, time_budget=1)
+    assert time.monotonic() - start < 1.5
+    assert result.status == TIMEOUT
+    assert sorted(result.ordering) == list(range(1100))
+    assert result.labeling.span == result.span
 
 
 # (status, span, ordering, labels, orderings_examined) of instances deeper
@@ -388,8 +464,8 @@ def test_orbit_representatives_match_permutation_scan():
 
 def test_symmetry_reduction_runs_deeper_than_the_recursion_limit():
     # 1100 positions, more than the default limit of 1000; a greedy
-    # ordering from one start takes about 0.1 s, so the greedy orderings
-    # outlast the budget and the best of them is reported
+    # ordering from one start takes about 0.1 s, and the triple scan that
+    # follows it outlasts the budget, so that ordering is reported
     start = time.monotonic()
     result = exact_radio_number(cycle(1100), symmetry_reduction=True,
                                 time_budget=1)
@@ -743,12 +819,14 @@ def test_budget_bounds_each_orbit_test():
 
 def test_symmetry_reduction_times_out_with_an_upper_bound():
     # the orbit pre-pass used to spend the whole budget on C_300 and
-    # return no ordering; the greedy orderings from all 300 starts take
-    # about 2.4 s, so the best of those finished is reported
-    g = cycle(300)
+    # return no ordering.  The orbit tests now wait for the walk, which
+    # waits for a greedy ordering and the triple scan; the pair bound
+    # settles C_300 in about the 0.5 s of its scan, but C_600's scan
+    # takes about 6 s, so the greedy ordering is reported
+    g = cycle(600)
     result = exact_radio_number(g, symmetry_reduction=True, time_budget=0.5)
     assert result.status == TIMEOUT
-    assert sorted(result.ordering) == list(range(300))
+    assert sorted(result.ordering) == list(range(600))
     assert check_radio(g, result.labeling) == []
 
 
