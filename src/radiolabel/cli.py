@@ -248,9 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-prune", action="store_true",
                    help="plain enumeration of all orderings")
     p.add_argument("--symmetry-reduction", action="store_true",
-                   help="skip starts proved to share an automorphism orbit "
-                        "with a smaller start (same span, witness and "
-                        "labels; fewer orderings examined)")
+                   help="skip starts that are twins of a smaller start "
+                        "(same open or closed neighbourhood; same span, "
+                        "witness and labels; fewer orderings examined)")
     _budget_flag(p)
     _format_flag(p)
     p.set_defaults(handler=_cmd_radio_number)

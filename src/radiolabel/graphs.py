@@ -526,12 +526,16 @@ def parse_edge_list(text: str) -> Graph:
     is found.  A text of lines of two ASCII-digit tokens is tokenised by
     one split(); any other text, such as one with a '#' comment, a sign
     or a line of another length, goes through the line walk, which
-    names the line of its first error.
+    names the line of its first error, and so does a text whose split
+    holds a token past int()'s digit limit.
     """
     if _PAIR_LINE.sub("", text).strip():
         tokens = _line_tokens(text)
     else:
-        tokens = list(map(int, text.split()))
+        try:
+            tokens = list(map(int, text.split()))
+        except ValueError:  # past the digit limit: name the line
+            tokens = _line_tokens(text)
     return _graph_from_tokens(text, tokens)
 
 

@@ -5,10 +5,10 @@ lexicographically smallest optimum; the witness search follows a fixed
 fewest-onward-options rule.  Either way, repeated runs return identical
 results.
 
-Every walk, the orbit backtrack of the symmetry reduction included, is a
-loop over per-depth state with one level per vertex, so its depth is not
-bound by the interpreter's recursion limit.  No search keeps or writes
-process-wide state: searches may run in several threads at once.
+Every walk is a loop over per-depth state with one level per vertex, so
+its depth is not bound by the interpreter's recursion limit.  No search
+keeps or writes process-wide state: searches may run in several threads
+at once.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from itertools import permutations
 from operator import add
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import InvalidParameterError
 from .graphs import Graph
@@ -52,77 +52,26 @@ class SearchResult:
         }
 
 
-def _first_vertex_representatives(graph: Graph, dist: list,
-                                  deadline: float = math.inf
-                                  ) -> Iterator[int]:
-    """Every vertex in increasing order, except those proved to lie in the
-    automorphism orbit of a vertex yielded before them; dist is the graph's
-    distance table.  A vertex is tested only when the next one is asked
-    for.  An automorphism keeps distances, so v is backtracked against r
-    only when their sorted distance rows agree: a cheap invariant first
-    (McKay and Piperno, J. Symbolic Comput. 60, 2014).
+def _first_vertex_representatives(graph: Graph) -> Iterator[int]:
+    """Every vertex in increasing order, except each whose open
+    neighbourhood N(v) or closed neighbourhood N[v] equals that of a
+    vertex yielded before it: v and that vertex are twins, and swapping
+    two twins is an automorphism (McKay and Piperno, J. Symbolic Comput.
+    60, 2014).  One key per vertex, O(|V| + |E|) in all.
 
-    Once the monotonic clock passes deadline nothing more is proved and
-    the remaining vertices are yielded untested.  Yielding a vertex that
-    shares an orbit with an earlier one is always safe for the exact
-    search: its lexicographically first optimum starts at the least vertex
-    of an orbit, or an automorphism would carry it to a smaller optimum,
-    and this filter never skips an orbit's least vertex."""
-    n = graph.vertex_count
-    reps = []  # (sorted distance row of r, the test of r -> v)
-    for v in range(n):
-        if time.monotonic() > deadline:
-            yield from range(v, n)
-            return
-        profile = sorted(dist[v])
-        if not any(key == profile and maps_r_to(v)
-                   for key, maps_r_to in reps):
-            reps.append((profile, _automorphism_test(graph, dist, v,
-                                                     deadline)))
+    Skipping such a vertex is always safe for the exact search: its
+    lexicographically first optimum starts at the least vertex of an
+    orbit, or an automorphism would carry it to a smaller optimum, and
+    this filter skips only a vertex with a smaller twin, so never an
+    orbit's least vertex."""
+    # N(r) and N[r] of each r yielded.  No N(v) equals an N[r]: r in N(v)
+    # would put v in N(r), so in N[r] = N(v)
+    seen = set()
+    for v, nbrs in enumerate(graph.adjacency):
+        closed = nbrs | {v}
+        if nbrs not in seen and closed not in seen:
+            seen.update((nbrs, closed))
             yield v
-
-
-def _automorphism_test(graph: Graph, dist: list, r: int,
-                       deadline: float = math.inf) -> Callable:
-    """The test of whether some automorphism sends r to v: a backtrack over
-    maps fixing r -> v, extended in order of distance from r, sorted once
-    per r.  Each vertex goes to a neighbour of its parent's image (its
-    parent is its least neighbour one step nearer r) of the same degree,
-    keeping its distance to every vertex mapped before it; a map that keeps
-    distances is one-to-one, and once onto, an automorphism.  The
-    backtrack is a loop with one level per vertex, polling the monotonic
-    clock at each; past the deadline it gives up and answers False."""
-    adj = graph.adjacency
-    n = graph.vertex_count
-    from_r = dist[r]
-    order = sorted(range(n), key=from_r.__getitem__)
-    parent = {u: min(w for w in adj[u] if from_r[w] < from_r[u])
-              for u in order[1:]}
-    image = [-1] * n
-
-    def maps_r_to(v: int) -> bool:
-        image[r] = v
-        # per position i: the images of order[i] not yet tried; order[1]
-        # is a neighbour of r, so its images are the neighbours of v
-        tries = [None, iter(adj[v])] + [None] * (n - 2)
-        i = 1
-        while 0 < i < n:
-            if time.monotonic() > deadline:
-                return False
-            u = order[i]
-            for w in tries[i]:
-                if len(adj[w]) == len(adj[u]) and all(
-                        dist[u][x] == dist[w][image[x]] for x in order[:i]):
-                    image[u] = w
-                    i += 1
-                    if i < n:
-                        tries[i] = iter(adj[image[parent[order[i]]]])
-                    break
-            else:
-                i -= 1
-        return i == n
-
-    return maps_r_to
 
 
 def _deadline(time_budget: float) -> float:
@@ -219,23 +168,17 @@ def exact_radio_number(graph: Graph, prune: bool = True,
     labeling module, kept as the cross-check oracle; it builds no
     greedy ordering.
 
-    symmetry_reduction skips, at the first position, each vertex proved to
-    share an automorphism orbit with a smaller start; the orbits are
-    tested lazily, as the walk asks for its next start.  Span, witness and
-    labels are unchanged: the lexicographically first optimum starts at
-    the least vertex of its orbit, since an automorphism sending its start
-    to a smaller vertex would carry it to a smaller optimum.  Only
-    orderings_examined drops, when the search completes.  With prune=False
-    the flag is ignored, so the oracle stays independent of the orbit
-    test.  The flag defaults to off because an orbit test costs O(|V|^3)
-    on a graph with many twins, such as a star, where the bounds alone
-    settle the search.
+    symmetry_reduction skips, at the first position, each twin of a
+    smaller start (see _first_vertex_representatives), in O(|V| + |E|)
+    as the walk asks for its next start.  Span, witness and labels are
+    unchanged; only orderings_examined may drop, when the search
+    completes.  With prune=False the flag is ignored, so the oracle stays
+    independent of the filter.
 
     The time budget, which starts on entry, is the only bound on running
-    time: it also bounds the greedy orderings, the triple scan, the orbit
-    tests and the filling of the distance table, flat or product, and it
-    is polled once more before the O(|V|^2) scans of a table already in
-    hand.
+    time: it also bounds the greedy orderings, the triple scan and the
+    filling of the distance table, flat or product, and it is polled once
+    more before the O(|V|^2) scans of a table already in hand.
     Once it runs out the search returns timeout with the best ordering
     found so far, greedy or walked, whose span is an upper bound on the
     radio number and at most the best greedy span, or with no ordering
@@ -283,8 +226,8 @@ def exact_radio_number(graph: Graph, prune: bool = True,
     # one above the greedy span, so the walk still reaches the
     # lexicographically first optimum when the greedy ordering is one
     best_span = greedy_span + 1
-    starts = (_first_vertex_representatives(graph, dist, deadline)
-              if symmetry_reduction else range(n))
+    starts = (_first_vertex_representatives(graph) if symmetry_reduction
+              else range(n))
     examined = 0
     order = [0] * n
     used = [False] * n

@@ -350,6 +350,9 @@ def test_malformed_json_is_an_error_line(capsys, tmp_path, command, text,
     (b"\xff\xfe", "not UTF-8"),
     (b"a b\n", "line 1: expected 'n m', got 'a b'"),
     (b"3 2\n0 1\n1 x\n", "line 3: expected 'u v', got '1 x'"),
+    # lines of two digit tokens, one past int()'s 4300-digit limit
+    (b"3 2\n0 1\n1 " + b"9" * 5000 + b"\n", "line 3: expected 'u v'"),
+    (b"9" * 5000 + b" 2\n0 1\n1 2\n", "line 1: expected 'n m'"),
     (b"3 3\n0 1\n1 2\n0 1\n", "line 4: duplicate edge 0 1"),
     (b"# c\n3 3\n0 1\n1 2\n1 0\n", "line 5: duplicate edge 1 0"),
     (b"200000 0\n", "needed to connect 200000 vertices"),
@@ -357,7 +360,8 @@ def test_malformed_json_is_an_error_line(capsys, tmp_path, command, text,
     (b"3 3\n0 1\n1 2\n", "error: header declares 3 edges, found 2\n"),
     (b"4 3\n0 1\n0 2\n1 2\n",
      "error: graph is disconnected (3 of 4 vertices reachable)\n"),
-], ids=["not-utf8", "header-token", "edge-token", "duplicate-edge",
+], ids=["not-utf8", "header-token", "edge-token", "edge-digit-limit",
+        "header-digit-limit", "duplicate-edge",
         "reversed-duplicate-edge", "too-few-edges", "empty", "edge-count",
         "disconnected"])
 def test_malformed_edge_list_is_an_error_line(capsys, tmp_path, text,

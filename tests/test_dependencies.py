@@ -1,6 +1,7 @@
 """The package runs on the standard library alone, as pyproject.toml's
 empty ``dependencies`` promises; the test tools installed beside it
-would hide a stray import from every other test."""
+would hide a stray import from every other test.  Each module also uses
+every name it imports, which no linter checks here."""
 
 import ast
 import sys
@@ -37,3 +38,35 @@ def test_package_imports_only_the_standard_library():
     for path in files:
         stray = imported_roots(path.read_text(encoding="utf-8")) - allowed
         assert not stray, f"{path.name} imports {sorted(stray)}"
+
+
+def unused_imports(source: str) -> set:
+    """Names bound by the imports in ``source`` that no other name in it
+    reads; ``from __future__`` imports bind none."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module != "__future__"):
+            bound.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - used
+
+
+def test_unused_imports_reads_every_import_form():
+    source = ("from __future__ import annotations\n"
+              "import os.path, json as j\nfrom typing import Callable, List\n"
+              "from .errors import X\n"
+              "def f(a: List) -> None:\n    return os.sep, X\n")
+    assert unused_imports(source) == {"j", "Callable"}
+
+
+def test_package_modules_use_every_import():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the public API
+            continue
+        unused = unused_imports(path.read_text(encoding="utf-8"))
+        assert not unused, f"{path.name} imports {sorted(unused)} unused"

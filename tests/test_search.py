@@ -35,18 +35,17 @@ from radiolabel import (
     verify_witness,
 )
 from radiolabel import search
-from radiolabel.search import (DEFAULT_TIME_BUDGET, _automorphism_test,
+from radiolabel.search import (DEFAULT_TIME_BUDGET,
                                _first_vertex_representatives, _largest_triple)
 
 
-def representatives(graph, deadline=math.inf) -> list:
-    return list(_first_vertex_representatives(
-        graph, graph.distance_matrix(), deadline))
+def representatives(graph) -> list:
+    return list(_first_vertex_representatives(graph))
 
 
 def orbit_minima_by_scan(graph) -> list:
-    """Least vertex of each automorphism orbit, by trying every permutation
-    of the vertex set; the reference for the backtracking test."""
+    """The least vertex of each vertex's automorphism orbit, by trying
+    every permutation of the vertex set; an oracle for the twin filter."""
     n = graph.vertex_count
     adj = graph.adjacency
     edges = graph.edges()
@@ -55,7 +54,20 @@ def orbit_minima_by_scan(graph) -> list:
         if all(perm[v] in adj[perm[u]] for u, v in edges):
             for v in range(n):
                 least[perm[v]] = min(least[perm[v]], v)
-    return sorted(set(least))
+    return least
+
+
+def untwinned_by_distances(graph) -> list:
+    """The vertices with no smaller twin, read off the distance table:
+    the swap (u v) keeps every distance exactly when the rows of u and v
+    agree outside {u, v}; an oracle for the twin filter that never looks
+    at a neighbourhood."""
+    dist = graph.distance_matrix()
+    n = graph.vertex_count
+    return [v for v in range(n)
+            if not any(all(dist[u][x] == dist[v][x]
+                           for x in range(n) if x not in (u, v))
+                       for u in range(v))]
 
 
 # ---------------------------------------------------------------------------
@@ -432,34 +444,49 @@ def test_symmetry_reduction_preserves_optimum():
         assert check_radio(g, reduced.labeling) == [], name
 
 
-def test_symmetry_reduction_single_start_on_transitive_graphs():
-    from radiolabel import build_graph
+def test_twin_representatives_pinned():
+    # K_6 is one twin class, a star's leaves are false twins, and so are
+    # opposite vertices of C_4; a swap of twins is the only symmetry the
+    # filter sees, so the twin-free cycle, cube, Petersen graph and path
+    # keep every start however transitive they are
     cube = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0),
                            (4, 5), (5, 6), (6, 7), (7, 4),
                            (0, 4), (1, 5), (2, 6), (3, 7)])
     assert representatives(complete(6)) == [0]
-    assert representatives(cycle(6)) == [0]
-    assert representatives(cube) == [0]
-    # a path folds onto itself end to end; on P_200 only mirror vertices
-    # share sorted distance rows, so the finder backtracks on 100 pairs
-    # (it took about 13 s when it backtracked on every pair)
-    assert representatives(path(4)) == [0, 1]
-    assert representatives(path(200), time.monotonic() + 5) \
-        == list(range(100))
     assert representatives(star(3)) == [0, 1]
-    assert representatives(petersen()) == [0]
+    assert representatives(cycle(4)) == [0, 1]
+    for g in (cycle(6), cube, petersen(), path(4)):
+        assert representatives(g) == list(range(g.vertex_count))
 
 
-def test_orbit_representatives_match_permutation_scan():
+def twin_corpus() -> list:
     # in "asym" the vertex pairs 0/4, 1/3 and 2/5 share sorted distance
-    # rows but no automorphism joins them, so the rows cannot decide alone
+    # rows but no automorphism joins them; K_{2,3} has false twins on
+    # both sides and K_5 less an edge true twins
     asym = build_graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4),
                            (2, 4), (3, 5), (4, 5)])
-    graphs = small_corpus() + [("C9", cycle(9)),
-                               ("P3xP3", cartesian_power(path(3), 2)),
-                               ("asym", asym)]
-    for name, g in graphs:
-        assert representatives(g) == orbit_minima_by_scan(g), name
+    k23 = build_graph(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
+    k5e = build_graph(5, [e for e in combinations(range(5), 2)
+                          if e != (0, 4)])
+    return small_corpus() + [("C9", cycle(9)),
+                             ("P3xP3", cartesian_power(path(3), 2)),
+                             ("asym", asym), ("K23", k23), ("K5-e", k5e)]
+
+
+def test_twin_representatives_are_sound_against_permutation_scan():
+    # every orbit's least vertex is yielded, and every skipped vertex has
+    # a smaller yielded vertex in its orbit
+    for name, g in twin_corpus():
+        reps = representatives(g)
+        least = orbit_minima_by_scan(g)
+        assert set(least) <= set(reps), name
+        for v in set(range(g.vertex_count)) - set(reps):
+            assert any(least[u] == least[v] for u in reps if u < v), name
+
+
+def test_twin_representatives_match_the_distance_table():
+    for name, g in twin_corpus():
+        assert representatives(g) == untwinned_by_distances(g), name
 
 
 def test_symmetry_reduction_runs_deeper_than_the_recursion_limit():
@@ -664,8 +691,6 @@ def test_deep_walks_never_touch_the_recursion_limit(monkeypatch):
     assert result.status == WITNESS_FOUND
     assert len(result.ordering) == 1024
     assert verify_witness(cartesian_power(complete(32), 2), result.ordering)
-    g = cycle(1100)
-    assert _automorphism_test(g, g.distance_matrix(), 0)(1) is True
 
 
 def test_deep_searches_run_in_two_threads_at_once():
@@ -782,12 +807,12 @@ def test_exact_budget_returns_an_upper_bound():
 
 @pytest.mark.parametrize("graph", [path(200), cycle(300)],
                          ids=["P200", "C300"])
-def test_budget_bounds_the_symmetry_reduction(graph, monkeypatch):
+def test_budget_bounds_the_symmetry_reduction(graph):
     # finding the orbit representatives took about 15 s on P_200 and 2.5 s
     # on C_300 before the deadline was polled between vertices; with the
     # table filled and no budget the walk's poll fires before its first
-    # start, however fast the host would test the orbits
-    dist = graph.distance_matrix()
+    # start
+    graph.distance_matrix()
     start = time.monotonic()
     result = exact_radio_number(graph, symmetry_reduction=True,
                                 time_budget=0)
@@ -795,21 +820,12 @@ def test_budget_bounds_the_symmetry_reduction(graph, monkeypatch):
     assert (result.status, result.span, result.ordering) \
         == (TIMEOUT, None, None)
 
-    # an expired deadline yields every vertex, and tests none
-    def refuse(*args):
-        raise AssertionError("an orbit test ran past the deadline")
-
-    monkeypatch.setattr("radiolabel.search._automorphism_test", refuse)
-    assert list(_first_vertex_representatives(
-        graph, dist, time.monotonic() - 1)) == list(range(graph.vertex_count))
-
 
 def test_budget_bounds_each_orbit_test():
-    # a star's leaves are twins, and one orbit test costs O(n^3): at 600
-    # leaves the search ran 3-4 s on a 1-s budget when the backtrack
-    # did not poll the deadline, and returned no ordering.  Past the
-    # deadline the remaining starts are yielded untested and the bounds
-    # cut each of them at the first position, so the answer is exact
+    # a star's leaves are twins: at 600 leaves the search ran 3-4 s on a
+    # 1-s budget when an automorphism backtrack tested each leaf and did
+    # not poll the deadline, and returned no ordering.  The twin filter
+    # skips every leaf with one key each, so the answer is exact
     g = star(600)
     start = time.monotonic()
     result = exact_radio_number(g, symmetry_reduction=True, time_budget=1)
@@ -817,9 +833,39 @@ def test_budget_bounds_each_orbit_test():
     assert (result.status, result.span) == (EXACT, 602)
 
 
+def test_symmetry_reduction_settles_a_large_star_at_once():
+    # an automorphism backtrack over the leaves of star(1000) spent the
+    # whole default budget; the twin keys skip them in O(|V| + |E|)
+    g = star(1000)
+    start = time.monotonic()
+    result = exact_radio_number(g, symmetry_reduction=True)
+    assert time.monotonic() - start < 2.0
+    assert (result.status, result.span) == (EXACT, 1002)
+
+
+def test_symmetry_reduction_costs_a_cycle_nothing():
+    # C_300 is twin-free, so the flag skips no start and changes no
+    # output; an orbit test on each start before the root cuts made the
+    # flag take about three times as long (1.45-1.78 s against 0.51 s).
+    # Best of two runs a side, interleaved, so host drift hits both
+    g = cycle(300)
+    g.distance_matrix()
+    seconds = {False: [], True: []}
+    outputs = {}
+    for flag in (False, True, False, True):
+        start = time.monotonic()
+        result = exact_radio_number(g, symmetry_reduction=flag)
+        seconds[flag].append(time.monotonic() - start)
+        outputs[flag] = (result.status, result.span, result.ordering,
+                         result.orderings_examined)
+    assert outputs[True] == outputs[False]
+    assert outputs[True][:2] == (EXACT, 11475)
+    assert min(seconds[True]) < 1.5 * min(seconds[False]) + 0.1
+
+
 def test_symmetry_reduction_times_out_with_an_upper_bound():
     # the orbit pre-pass used to spend the whole budget on C_300 and
-    # return no ordering.  The orbit tests now wait for the walk, which
+    # return no ordering.  The start filter now waits for the walk, which
     # waits for a greedy ordering and the triple scan; the pair bound
     # settles C_300 in about the 0.5 s of its scan, but C_600's scan
     # takes about 6 s, so the greedy ordering is reported
