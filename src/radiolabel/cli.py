@@ -86,26 +86,11 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_order_knt(args) -> int:
-    order = knt.knt_ordering(args.n, args.t)
+    order = knt.knt_ordering_matrix(args.n, args.t)
     if args.flat:
         order = knt.flat_indices(order, args.n)
-    _emit(_ordering_json(args.n, args.t, order), args.out)
+    _emit(lb.ordering_to_json(order, args.n, args.t), args.out)
     return 0
-
-
-def _ordering_json(n: int, t: int, order: list) -> str:
-    """The text json.dumps({"n": n, "t": t, "order": order}, indent=2)
-    writes, plus a newline, written directly, as lb.labeling_to_json is:
-    with indent, json.dumps takes its pure-Python encoder.  order is a
-    non-empty list of flat indices or of non-empty coordinate tuples, all
-    exact ints, so the layout is fixed."""
-    if isinstance(order[0], int):
-        items = map(str, order)
-    else:
-        items = ("[\n      " + ",\n      ".join(map(str, coords)) + "\n    ]"
-                 for coords in order)
-    return (f'{{\n  "n": {n},\n  "t": {t},\n  "order": [\n    '
-            + ",\n    ".join(items) + "\n  ]\n}\n")
 
 
 def _cmd_induce(args) -> int:
@@ -157,9 +142,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_radio_number(args) -> int:
     graph = _read_graph(args.graph)
-    result = search.exact_radio_number(
-        graph, prune=not args.no_prune,
-        symmetry_reduction=args.symmetry_reduction, time_budget=args.budget)
+    result = search.exact_radio_number(graph, prune=not args.no_prune,
+                                       time_budget=args.budget)
     _emit(_result_text(result, args.format), None)
     return 0
 
@@ -248,9 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-prune", action="store_true",
                    help="plain enumeration of all orderings")
     p.add_argument("--symmetry-reduction", action="store_true",
-                   help="skip starts that are twins of a smaller start "
-                        "(same open or closed neighbourhood; same span, "
-                        "witness and labels; fewer orderings examined)")
+                   help="no effect: twin starts are always skipped")
     _budget_flag(p)
     _format_flag(p)
     p.set_defaults(handler=_cmd_radio_number)

@@ -500,6 +500,8 @@ BUILDERS = {
 # edge-list text format: first line "n m", then m lines "u v", '#' comments
 # ---------------------------------------------------------------------------
 
+_QUOTED = 40  # characters of a bad line an error quotes
+
 # a line of two ASCII-digit tokens, with its line break; a text that
 # holds nothing else but blank lines splits into the same tokens as its
 # line walk.  Each match is one line, so the check keeps no state from
@@ -550,7 +552,8 @@ def _content_lines(text: str) -> Iterable[tuple]:
 
 def _line_tokens(text: str) -> list:
     """[n, m, u1, v1, u2, v2, ...] read line by line, naming the first
-    line that is not two integers."""
+    line that is not two integers and quoting at most its first
+    _QUOTED characters, so the error stays one short line."""
     tokens = []
     for number, line in _content_lines(text):
         try:
@@ -558,8 +561,10 @@ def _line_tokens(text: str) -> list:
             tokens += int(u), int(v)
         except ValueError:
             shape = "u v" if tokens else "n m"
+            got = repr(line) if len(line) <= _QUOTED else (
+                f"{line[:_QUOTED]!r}... ({len(line)} characters)")
             raise InvalidParameterError(
-                f"line {number}: expected {shape!r}, got {line!r}") from None
+                f"line {number}: expected {shape!r}, got {got}") from None
     return tokens
 
 
@@ -582,7 +587,7 @@ def _graph_from_tokens(text: str, tokens: list) -> Graph:
     power = _recognise_power(n, us, vs)
     if power is not None:
         return power
-    graph = build_graph(n, zip(us, vs))
+    graph = Graph(n, zip(us, vs))
     if graph.edge_count != m:  # the graph merged a repeat: name the first
         seen = set()
         numbers = itertools.islice(_content_lines(text), 1, None)

@@ -229,8 +229,19 @@ def _json_object(text: str, what: str) -> dict:
     return data
 
 
-def ordering_to_json(order: Sequence[int]) -> str:
-    return json.dumps({"order": list(order)}, indent=2) + "\n"
+def ordering_to_json(order: Sequence, n: int, t: int) -> str:
+    """The text json.dumps({"n": n, "t": t, "order": order}, indent=2)
+    writes, plus a newline, written directly, as labeling_to_json is:
+    with indent, json.dumps takes its pure-Python encoder.  order is a
+    non-empty list of flat indices or of non-empty coordinate tuples, all
+    exact ints, so the layout is fixed."""
+    if isinstance(order[0], int):
+        items = map(str, order)
+    else:
+        items = ("[\n      " + ",\n      ".join(map(str, coords)) + "\n    ]"
+                 for coords in order)
+    return (f'{{\n  "n": {n},\n  "t": {t},\n  "order": [\n    '
+            + ",\n    ".join(items) + "\n  ]\n}\n")
 
 
 def ordering_from_json(text: str, graph: Optional[Graph] = None) -> tuple:

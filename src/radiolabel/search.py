@@ -87,7 +87,6 @@ def _deadline(time_budget: float) -> float:
 
 
 def exact_radio_number(graph: Graph, prune: bool = True,
-                       symmetry_reduction: bool = False,
                        time_budget: float = DEFAULT_TIME_BUDGET
                        ) -> SearchResult:
     """Minimum span over every ordering-induced radio labeling.
@@ -111,8 +110,7 @@ def exact_radio_number(graph: Graph, prune: bool = True,
       max(2, ceil((3(diam + 1) - T) / 2)), where T is the largest
       d(a, b) + d(b, c) + d(a, c) over the vertex triples, and r more
       steps cost at least tail[r] = (r // 2) * pair + r % 2.  On C_n,
-      T = n.  Where pair is 2, tail[r] = r and the eccentricity bound,
-      at least 1 a step, is never below it, so no tail is built.
+      T = n.
     The eccentricity argument is the one Liu and Zhu use for paths and
     cycles, the level sum the one they use for paths, and the triple sum
     the one they use for cycles ("Multilevel distance labelings for paths
@@ -168,12 +166,12 @@ def exact_radio_number(graph: Graph, prune: bool = True,
     labeling module, kept as the cross-check oracle; it builds no
     greedy ordering.
 
-    symmetry_reduction skips, at the first position, each twin of a
-    smaller start (see _first_vertex_representatives), in O(|V| + |E|)
-    as the walk asks for its next start.  Span, witness and labels are
-    unchanged; only orderings_examined may drop, when the search
-    completes.  With prune=False the flag is ignored, so the oracle stays
-    independent of the filter.
+    The walk skips, at the first position, each twin of a smaller start
+    (see _first_vertex_representatives).  Swapping the two carries the
+    twin's orderings onto its smaller twin's, walked before it, so span,
+    witness, labels and orderings_examined are those of the walk from
+    every start.  With prune=False no start is skipped, so the oracle
+    stays independent of the filter.
 
     The time budget, which starts on entry, is the only bound on running
     time: it also bounds the greedy orderings, the triple scan and the
@@ -182,12 +180,14 @@ def exact_radio_number(graph: Graph, prune: bool = True,
     Once it runs out the search returns timeout with the best ordering
     found so far, greedy or walked, whose span is an upper bound on the
     radio number and at most the best greedy span, or with no ordering
-    if not even one greedy ordering was completed.  Two steps run past
+    if not even one greedy ordering was completed.  Three steps run past
     it (2-vCPU host): the pruned walk's reported labeling is induced once
     more, in O(|V| diam) (P_2000, table filled, 1-s budget: 1.5-1.6 s,
-    0.5-0.6 s of it this labeling); and with prune=False each ordering
-    is induced in full between polls, once each (P_4096, table filled,
-    1-s budget: 2.5-3.5 s).
+    0.5-0.6 s of it this labeling); the twin filter builds a product's
+    adjacency the first time the walk asks for a start (about 0.05 s on
+    K_16^3, at the cache limit); and with prune=False each ordering is
+    induced in full between polls, once each (P_4096, table filled, 1-s
+    budget: 2.5-3.5 s).
     Raises InvalidParameterError for a budget that is negative, infinite
     or NaN, and TooLargeError above the distance cache limit,
     graphs.DISTANCE_CACHE_LIMIT vertices, before any search.
@@ -211,23 +211,18 @@ def exact_radio_number(graph: Graph, prune: bool = True,
     best = _greedy_incumbent(dist, bound, floors, deadline, range(1))
     # the triple scan runs once a greedy ordering is in hand, so a budget
     # that ends inside it still reports an upper bound; tail[r] bounds the
-    # cost of r more steps, built only where a pair of steps costs more
-    # than 2
+    # cost of r more steps
     largest = _largest_triple(dist, diam, deadline)
-    # None past the deadline: then no tail, and the polls after it end
+    # None past the deadline: then pair is 2, and the polls after it end
     # the search
     pair = 2 if largest is None else (3 * bound - largest + 1) // 2
-    tail = None
-    if pair > 2:
-        tail = [r // 2 * pair + r % 2 for r in range(n)]
-        floors = [max(f, 1 + tail[n - 1]) for f in floors]
+    tail = [r // 2 * pair + r % 2 for r in range(n)]
+    floors = [max(f, 1 + tail[n - 1]) for f in floors]
     greedy_span, best_order = _greedy_incumbent(
         dist, bound, floors, deadline, range(1, n), best)
     # one above the greedy span, so the walk still reaches the
     # lexicographically first optimum when the greedy ordering is one
     best_span = greedy_span + 1
-    starts = (_first_vertex_representatives(graph) if symmetry_reduction
-              else range(n))
     examined = 0
     order = [0] * n
     used = [False] * n
@@ -236,7 +231,8 @@ def exact_radio_number(graph: Graph, prune: bool = True,
     # vertex takes if placed there less that last label, and reach: the
     # level bound on the steps after candidate v is reach + level[v]
     nodes = [None] * n
-    nodes[0] = (iter(starts), rest, 0, [1] * n, reach)
+    nodes[0] = (_first_vertex_representatives(graph), rest, 0, [1] * n,
+                reach)
     depth = 0
     timed_out = time.monotonic() > deadline
     while depth >= 0 and not timed_out:
@@ -247,7 +243,7 @@ def exact_radio_number(graph: Graph, prune: bool = True,
         # on gap[v]: the pair bound tail[r], the eccentricity bound
         # rest - cost[v] and the level bound reach + level[v]
         room = best_span - last
-        pair_room = room - tail[n - depth - 1] if tail else room
+        pair_room = room - tail[n - depth - 1]
         ecc_room = room - rest
         level_room = room - reach
         for v in candidates:

@@ -50,6 +50,11 @@ def star(leaves: int) -> Graph:
     return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def complete_bipartite(a: int, b: int) -> Graph:
+    return build_graph(a + b, [(u, v) for u in range(a)
+                               for v in range(a, a + b)])
+
+
 def counted_edge_list(n: int, edges: list) -> str:
     """Edge-list text whose header counts the edges given."""
     return "\n".join([f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges])

@@ -9,9 +9,11 @@ import tempfile
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import counted_edge_list
-from radiolabel import flat_indices, knt_ordering, parse_edge_list
-from radiolabel.cli import _ordering_json, main
+from conftest import complete_bipartite, counted_edge_list
+from radiolabel import (cycle, flat_indices, format_edge_list, knt_ordering,
+                        parse_edge_list)
+from radiolabel.cli import main
+from radiolabel.labeling import ordering_to_json
 
 
 def run(capsys, *argv):
@@ -81,7 +83,7 @@ def test_ordering_json_on_one_vertex(t, order):
     # order-knt refuses n < 3, but the writer's layout holds for any
     # non-empty ordering: one flat index, or one tuple of t coordinates
     entries = [x if isinstance(x, int) else list(x) for x in order]
-    assert _ordering_json(1, t, order) \
+    assert ordering_to_json(order, 1, t) \
         == json.dumps({"n": 1, "t": t, "order": entries}, indent=2) + "\n"
 
 
@@ -146,6 +148,17 @@ def test_radio_number_table_and_json(capsys, tmp_path):
     code, out3, _ = run(capsys, "radio-number", c4, "--format", "json",
                         "--no-prune")
     assert json.loads(out3)["span"] == 5
+
+
+def test_radio_number_symmetry_flag_changes_nothing(capsys, tmp_path):
+    # twin starts are always skipped; the flag is accepted and ignored.
+    # K_{2,6} has twins on both sides, C_9 none
+    for graph in (complete_bipartite(2, 6), cycle(9)):
+        name = write(tmp_path, "g.txt", format_edge_list(graph))
+        plain = run(capsys, "radio-number", name)
+        assert plain[0] == 0 and "exact" in plain[1]
+        assert run(capsys, "radio-number", name,
+                   "--symmetry-reduction") == plain
 
 
 def test_search_result_tables_are_pinned(capsys, tmp_path):
@@ -372,6 +385,9 @@ def test_malformed_edge_list_is_an_error_line(capsys, tmp_path, text,
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+    # a bad line is quoted cut short, so a 5000-digit token does not make
+    # a 5000-character error line
+    assert len(err) < 300
 
 
 def test_knt_pipeline_past_the_distance_cache(capsys, tmp_path):

@@ -1,13 +1,17 @@
 """The package runs on the standard library alone, as pyproject.toml's
 empty ``dependencies`` promises; the test tools installed beside it
 would hide a stray import from every other test.  Each module also uses
-every name it imports, which no linter checks here."""
+every name it imports, and each CLI flag is read by the code it is
+meant to steer, which no linter checks here."""
 
+import argparse
 import ast
+import inspect
 import sys
 from pathlib import Path
 
 import radiolabel
+from radiolabel import cli
 
 PACKAGE = Path(radiolabel.__file__).resolve().parent
 
@@ -70,3 +74,30 @@ def test_package_modules_use_every_import():
             continue
         unused = unused_imports(path.read_text(encoding="utf-8"))
         assert not unused, f"{path.name} imports {sorted(unused)} unused"
+
+
+# (subcommand, dest) of flags that are parsed and deliberately ignored:
+# --symmetry-reduction stays accepted for scripts that pass it, though
+# twin starts are now always skipped
+INERT_FLAGS = {("radio-number", "symmetry_reduction")}
+
+
+def args_read(function) -> set:
+    """The attributes that ``function`` reads off its ``args``."""
+    tree = ast.parse(inspect.getsource(function))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+
+
+def test_every_cli_flag_is_read():
+    parser = cli.build_parser()
+    (subparsers,) = [action for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    read_by_main = args_read(cli.main)
+    unread = set()
+    for command, sub in subparsers.choices.items():
+        read = args_read(sub.get_default("handler")) | read_by_main
+        unread.update((command, action.dest) for action in sub._actions
+                      if action.dest != "help" and action.dest not in read)
+    assert unread == INERT_FLAGS

@@ -799,6 +799,15 @@ def test_three_and_one_token_lines_name_their_line():
         parse_edge_list("3 2\n0 1 0\n2\n")
 
 
+def test_a_long_bad_line_is_quoted_cut_short():
+    # a token past int()'s 4300-digit limit used to be quoted whole, in
+    # an error of 5032 characters
+    with pytest.raises(InvalidParameterError) as caught:
+        parse_edge_list("3 2\n0 1\n1 " + "9" * 5000 + "\n")
+    assert str(caught.value) == ("line 3: expected 'u v', got '1 "
+                                 + "9" * 38 + "'... (5002 characters)")
+
+
 @pytest.mark.parametrize("n", [4, 7])
 def test_power_files_skip_the_line_walk(monkeypatch, n):
     text = format_edge_list(cartesian_power(complete(n), 3))

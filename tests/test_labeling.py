@@ -479,7 +479,11 @@ def test_consecutive_span_is_vertex_count():
 
 def test_ordering_json_round_trip():
     order = (2, 0, 1, 3)
-    assert ordering_from_json(ordering_to_json(order)) == order
+    assert ordering_from_json(ordering_to_json(order, 4, 1)) == order
+    # the coordinate form reads back through the "n" the writer records
+    coords = knt_ordering(3, 2)
+    assert ordering_from_json(ordering_to_json(coords, 3, 2)) \
+        == tuple(flat_indices(coords, 3))
 
 
 def test_ordering_json_coordinates():

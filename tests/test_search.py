@@ -9,8 +9,8 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (kernel_corpus, random_connected, relabelled,
-                      small_corpus, star)
+from conftest import (complete_bipartite, kernel_corpus, random_connected,
+                      relabelled, small_corpus, star)
 from radiolabel import (
     EXACT,
     Graph,
@@ -41,6 +41,15 @@ from radiolabel.search import (DEFAULT_TIME_BUDGET,
 
 def representatives(graph) -> list:
     return list(_first_vertex_representatives(graph))
+
+
+def unfiltered(monkeypatch, graph):
+    """exact_radio_number with the twin filter replaced by every vertex:
+    the walk with no start skipped."""
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_first_vertex_representatives",
+                      lambda g: iter(range(g.vertex_count)))
+        return exact_radio_number(graph)
 
 
 def orbit_minima_by_scan(graph) -> list:
@@ -235,18 +244,15 @@ def bound_corpus() -> list:
     return graphs
 
 
-@pytest.mark.parametrize("symmetry_reduction", [False, True])
-def test_eccentricity_bound_walks_like_the_one_per_step_bound(
-        symmetry_reduction):
+def test_eccentricity_bound_walks_like_the_one_per_step_bound():
     for name, g in bound_corpus():
-        starts = (representatives(g) if symmetry_reduction
-                  else range(g.vertex_count))
-        result = exact_radio_number(g, symmetry_reduction=symmetry_reduction)
+        result = exact_radio_number(g)
         assert result.status == EXACT, name
         # the search seeds its walk one above the best greedy span
         assert (result.span, result.ordering, result.labeling.labels,
                 result.orderings_examined) \
-            == one_per_step_walk(g, starts, min(greedy_spans(g)) + 1), name
+            == one_per_step_walk(g, representatives(g),
+                                 min(greedy_spans(g)) + 1), name
         if name in POOL:
             assert result.span == POOL[name][0], name
 
@@ -341,11 +347,10 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("symmetry_reduction", [False, True])
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_exact_outputs_pinned_past_the_oracle(name, symmetry_reduction):
+def test_exact_outputs_pinned_past_the_oracle(name):
     g, expected = PINNED[name]
-    result = exact_radio_number(g, symmetry_reduction=symmetry_reduction)
+    result = exact_radio_number(g)
     assert (result.status, result.span, result.ordering,
             result.labeling.labels, result.orderings_examined) == expected
 
@@ -361,10 +366,10 @@ def small_connected_graphs(draw):
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(small_connected_graphs(), st.booleans())
-def test_pruned_equals_unpruned_on_random_graphs(g, symmetry_reduction):
+@given(small_connected_graphs())
+def test_pruned_equals_unpruned_on_random_graphs(g):
     # the oracle is the full enumeration, whatever the pruned side skips
-    pruned = exact_radio_number(g, symmetry_reduction=symmetry_reduction)
+    pruned = exact_radio_number(g)
     unpruned = exact_radio_number(g, prune=False)
     assert (pruned.status, pruned.span, pruned.ordering, pruned.labeling) \
         == (unpruned.status, unpruned.span, unpruned.ordering,
@@ -422,26 +427,47 @@ def test_unpruned_enumeration_never_tests_orbits(monkeypatch):
 
     monkeypatch.setattr("radiolabel.search._first_vertex_representatives",
                         refuse)
-    result = exact_radio_number(cycle(4), prune=False,
-                                symmetry_reduction=True)
+    result = exact_radio_number(cycle(4), prune=False)
     assert (result.status, result.span, result.orderings_examined) \
         == (EXACT, 5, 24)
 
 
-def test_symmetry_reduction_preserves_optimum():
+def test_symmetry_reduction_preserves_optimum(monkeypatch):
     # the lexicographically first optimum starts at the least vertex of
-    # its orbit, so skipping the other starts changes only the count
+    # its orbit, and a start skipped as the twin of a smaller one has
+    # only orderings that its twin's already match, so no leaf is lost
     graphs = bound_corpus() + [
         ("C10", cycle(10)),
-        ("K3xP3", cartesian_product(complete(3), path(3)))]
+        ("K3xP3", cartesian_product(complete(3), path(3))),
+        ("K2,6", complete_bipartite(2, 6))]
     for name, g in graphs:
-        reduced = exact_radio_number(g, symmetry_reduction=True)
-        full = exact_radio_number(g)
-        assert (reduced.status, reduced.span, reduced.ordering,
-                reduced.labeling) == (full.status, full.span, full.ordering,
-                                      full.labeling), name
+        reduced = exact_radio_number(g)
+        full = unfiltered(monkeypatch, g)
+        assert reduced == full, name
         assert reduced.status == EXACT, name
         assert check_radio(g, reduced.labeling) == [], name
+
+
+def test_the_walk_takes_its_starts_from_the_twin_filter(monkeypatch):
+    calls = []
+
+    def recorded(graph):
+        calls.append(graph)
+        return _first_vertex_representatives(graph)
+
+    monkeypatch.setattr(search, "_first_vertex_representatives", recorded)
+    g = complete_bipartite(2, 4)
+    assert exact_radio_number(g).status == EXACT
+    assert calls == [g]
+
+
+def test_twin_starts_settle_a_complete_bipartite_graph():
+    # every start of K_{2,9} but 0 and 2 is a twin of a smaller one; the
+    # walk from every start took 2.3-2.7 s, the filtered one 0.2-0.35 s
+    start = time.monotonic()
+    result = exact_radio_number(complete_bipartite(2, 9))
+    assert time.monotonic() - start < 2.0
+    assert (result.status, result.span) == (EXACT, 12)
 
 
 def test_twin_representatives_pinned():
@@ -494,8 +520,7 @@ def test_symmetry_reduction_runs_deeper_than_the_recursion_limit():
     # ordering from one start takes about 0.1 s, and the triple scan that
     # follows it outlasts the budget, so that ordering is reported
     start = time.monotonic()
-    result = exact_radio_number(cycle(1100), symmetry_reduction=True,
-                                time_budget=1)
+    result = exact_radio_number(cycle(1100), time_budget=1)
     assert time.monotonic() - start < 3.0
     assert result.status == TIMEOUT
     assert sorted(result.ordering) == list(range(1100))
@@ -814,8 +839,7 @@ def test_budget_bounds_the_symmetry_reduction(graph):
     # start
     graph.distance_matrix()
     start = time.monotonic()
-    result = exact_radio_number(graph, symmetry_reduction=True,
-                                time_budget=0)
+    result = exact_radio_number(graph, time_budget=0)
     assert time.monotonic() - start < 1.0
     assert (result.status, result.span, result.ordering) \
         == (TIMEOUT, None, None)
@@ -828,7 +852,7 @@ def test_budget_bounds_each_orbit_test():
     # skips every leaf with one key each, so the answer is exact
     g = star(600)
     start = time.monotonic()
-    result = exact_radio_number(g, symmetry_reduction=True, time_budget=1)
+    result = exact_radio_number(g, time_budget=1)
     assert time.monotonic() - start < 2.0
     assert (result.status, result.span) == (EXACT, 602)
 
@@ -838,26 +862,28 @@ def test_symmetry_reduction_settles_a_large_star_at_once():
     # whole default budget; the twin keys skip them in O(|V| + |E|)
     g = star(1000)
     start = time.monotonic()
-    result = exact_radio_number(g, symmetry_reduction=True)
+    result = exact_radio_number(g)
     assert time.monotonic() - start < 2.0
     assert (result.status, result.span) == (EXACT, 1002)
 
 
-def test_symmetry_reduction_costs_a_cycle_nothing():
-    # C_300 is twin-free, so the flag skips no start and changes no
+def test_symmetry_reduction_costs_a_cycle_nothing(monkeypatch):
+    # C_300 is twin-free, so the filter skips no start and changes no
     # output; an orbit test on each start before the root cuts made the
-    # flag take about three times as long (1.45-1.78 s against 0.51 s).
-    # Best of two runs a side, interleaved, so host drift hits both
+    # filtered walk take about three times as long (1.45-1.78 s against
+    # 0.51 s).  Best of two runs a side, interleaved, so host drift hits
+    # both
     g = cycle(300)
     g.distance_matrix()
     seconds = {False: [], True: []}
     outputs = {}
-    for flag in (False, True, False, True):
+    for filtered in (False, True, False, True):
         start = time.monotonic()
-        result = exact_radio_number(g, symmetry_reduction=flag)
-        seconds[flag].append(time.monotonic() - start)
-        outputs[flag] = (result.status, result.span, result.ordering,
-                         result.orderings_examined)
+        result = (exact_radio_number(g) if filtered
+                  else unfiltered(monkeypatch, g))
+        seconds[filtered].append(time.monotonic() - start)
+        outputs[filtered] = (result.status, result.span, result.ordering,
+                             result.orderings_examined)
     assert outputs[True] == outputs[False]
     assert outputs[True][:2] == (EXACT, 11475)
     assert min(seconds[True]) < 1.5 * min(seconds[False]) + 0.1
@@ -870,7 +896,7 @@ def test_symmetry_reduction_times_out_with_an_upper_bound():
     # settles C_300 in about the 0.5 s of its scan, but C_600's scan
     # takes about 6 s, so the greedy ordering is reported
     g = cycle(600)
-    result = exact_radio_number(g, symmetry_reduction=True, time_budget=0.5)
+    result = exact_radio_number(g, time_budget=0.5)
     assert result.status == TIMEOUT
     assert sorted(result.ordering) == list(range(600))
     assert check_radio(g, result.labeling) == []
