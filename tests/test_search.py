@@ -244,15 +244,20 @@ def bound_corpus() -> list:
     return graphs
 
 
-def test_eccentricity_bound_walks_like_the_one_per_step_bound():
+@pytest.mark.parametrize("twin_starts", [False, True])
+def test_eccentricity_bound_walks_like_the_one_per_step_bound(
+        monkeypatch, twin_starts):
+    # without twin starts, the same walk from every vertex
     for name, g in bound_corpus():
-        result = exact_radio_number(g)
+        if twin_starts:
+            starts, result = representatives(g), exact_radio_number(g)
+        else:
+            starts, result = range(g.vertex_count), unfiltered(monkeypatch, g)
         assert result.status == EXACT, name
         # the search seeds its walk one above the best greedy span
         assert (result.span, result.ordering, result.labeling.labels,
                 result.orderings_examined) \
-            == one_per_step_walk(g, representatives(g),
-                                 min(greedy_spans(g)) + 1), name
+            == one_per_step_walk(g, starts, min(greedy_spans(g)) + 1), name
         if name in POOL:
             assert result.span == POOL[name][0], name
 
@@ -347,10 +352,12 @@ PINNED = {
 }
 
 
+@pytest.mark.parametrize("twin_starts", [False, True])
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_exact_outputs_pinned_past_the_oracle(name):
+def test_exact_outputs_pinned_past_the_oracle(monkeypatch, name, twin_starts):
     g, expected = PINNED[name]
-    result = exact_radio_number(g)
+    result = (exact_radio_number(g) if twin_starts
+              else unfiltered(monkeypatch, g))
     assert (result.status, result.span, result.ordering,
             result.labeling.labels, result.orderings_examined) == expected
 
