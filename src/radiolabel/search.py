@@ -31,7 +31,8 @@ TIMEOUT = "timeout"
 
 DEFAULT_TIME_BUDGET = 30.0
 
-_BINARY = bytes.maketrans(b"\0\1", b"01")  # a row of bools -> base-2 digits
+# a wide table's row of bools -> base-2 digits
+_BINARY = bytes.maketrans(b"\0\1", b"01")
 
 
 @dataclass(frozen=True)
@@ -131,11 +132,11 @@ def exact_radio_number(graph: Graph, prune: bool = True,
     comparison of gap[w] against the room it leaves below the best span.
     Every gap lies in 1..diam + 1, so below diameter 256 it is one of
     CPython's cached small ints and a vector costs one 8-byte list slot an
-    entry.  At full depth the vectors take |V|^2 slots, as much as the
-    distance table: on the 4096 vertices of star(4095) the walk's
-    tracemalloc peak is 130 MiB, beside the table's 128 MiB.  Above
-    diameter 255 an entry may also hold its own int object, up to about
-    40 bytes.
+    entry.  At full depth the vectors take |V|^2 slots, eight times the
+    distance table's bytes rows: on the 4096 vertices of star(4095) the
+    walk's tracemalloc peak is 130 MiB, beside the table's 16 MiB.  Above
+    diameter 255 the table keeps lists of ints, as large as the vectors,
+    and an entry may also hold its own int object, up to about 40 bytes.
 
     Before the walk, a greedy ordering is built from each start vertex:
     it repeatedly appends the unplaced vertex of least induced label,
@@ -394,9 +395,14 @@ def find_consecutive_ordering(graph: Graph,
     The walk runs over bitsets held in Python ints, as in San Segundo,
     Rodriguez-Losada and Jimenez's bit-parallel maximum-clique search
     (Computers & Operations Research 38, 2011).  far(k, v) has bit w set
-    iff d(v, w) >= k; it is built from dist[v] at C speed on first use and
-    kept for this call only, since only the masks the walk touches are
-    ever needed (all n * diam of them would take n^2 * diam / 8 bytes).
+    iff d(v, w) >= k; it is built on first use from dist[v] reversed, as
+    base-2 digits: on a table of bytes rows (diameter below 256) one
+    C-level translate of the row, on a wider table a pass over its ints.
+    It is kept for this call only, in a list of n (diam + 1) slots (below
+    diameter 256 at most 2 KiB a vertex, above it at most the n^2 slots
+    of the table's own list rows), since only the masks the walk touches
+    are ever needed (all n * diam of them would take n^2 * diam / 8
+    bytes).
     The candidates at depth d are the unused vertices in far(diam - c + 1,
     x_{d-c}) for every c <= min(diam, d).  A candidate v's onward options
     are far(diam, v) ANDed with the same window one position on, which is
@@ -417,14 +423,20 @@ def find_consecutive_ordering(graph: Graph,
         return _result(graph, TIMEOUT, None, 0)
     diam = graph.diameter()
     order = [0] * n
-    masks = {}  # k * n + v -> far(k, v), for this call only
+    masks = [None] * (n * (diam + 1))  # k * n + v -> far(k, v)
+    # at_least[k] maps a distance d to the digit of d >= k, for k <= diam
+    at_least = ([b"0" * k + b"1" * (256 - k) for k in range(diam + 1)]
+                if isinstance(dist[0], bytes) else None)
 
     def far(k: int, v: int) -> int:
-        # bit w set iff d(v, w) >= k
-        mask = masks.get(k * n + v)
+        # bit w set iff d(v, w) >= k: the digit of d(v, w) >= k, for w
+        # from n - 1 down to 0, read in base 2
+        mask = masks[k * n + v]
         if mask is None:
-            mask = masks[k * n + v] = int(bytes(
-                map(k.__le__, reversed(dist[v]))).translate(_BINARY), 2)
+            row = dist[v]
+            mask = masks[k * n + v] = int(
+                row[::-1].translate(at_least[k]) if at_least else
+                bytes(map(k.__le__, reversed(row))).translate(_BINARY), 2)
         return mask
 
     def window(unused: int, depth: int, first: int) -> int:

@@ -373,10 +373,19 @@ def test_malformed_json_is_an_error_line(capsys, tmp_path, command, text,
     (b"3 3\n0 1\n1 2\n", "error: header declares 3 edges, found 2\n"),
     (b"4 3\n0 1\n0 2\n1 2\n",
      "error: graph is disconnected (3 of 4 vertices reachable)\n"),
+    # 4000-digit integers, within int()'s limit, quoted cut short
+    (b"9" * 4000 + b" 2\n0 1\n1 2\n",
+     "needed to connect " + "9" * 40 + "... (4000 digits) vertices\n"),
+    (b"3 " + b"9" * 4000 + b"\n0 1\n1 2\n",
+     "error: header declares " + "9" * 40 + "... (4000 digits) edges, "
+     "found 2\n"),
+    (b"3 2\n0 1\n1 " + b"9" * 4000 + b"\n",
+     "error: edge (1, " + "9" * 40 + "... (4000 digits)) outside 0..2\n"),
 ], ids=["not-utf8", "header-token", "edge-token", "edge-digit-limit",
         "header-digit-limit", "duplicate-edge",
         "reversed-duplicate-edge", "too-few-edges", "empty", "edge-count",
-        "disconnected"])
+        "disconnected", "long-vertex-count", "long-edge-count",
+        "long-endpoint"])
 def test_malformed_edge_list_is_an_error_line(capsys, tmp_path, text,
                                               message):
     target = tmp_path / "g.txt"
@@ -385,8 +394,8 @@ def test_malformed_edge_list_is_an_error_line(capsys, tmp_path, text,
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
-    # a bad line is quoted cut short, so a 5000-digit token does not make
-    # a 5000-character error line
+    # a bad line or integer is quoted cut short, so a 5000-digit token
+    # does not make a 5000-character error line
     assert len(err) < 300
 
 

@@ -152,7 +152,7 @@ def test_distance_function_matches_bfs():
         assert all(dist(u, v) == bfs[u][v]
                    for u in range(n) for v in range(n)), name
         # a product's table is summed from its factors' tables
-        assert g.distance_matrix() == bfs, name
+        assert [list(row) for row in g.distance_matrix()] == bfs, name
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -174,7 +174,7 @@ def test_flat_table_stops_at_the_deadline():
     assert g.distance_matrix(time.monotonic() - 1) is None
     # nothing half-built was kept: the table fills whole, once
     table = g.distance_matrix(time.monotonic() + 60)
-    assert table == all_pairs_distances(g)
+    assert [list(row) for row in table] == all_pairs_distances(g)
     assert g.distance_matrix() is table
     assert g.distance_matrix(time.monotonic() - 1) is table
 
@@ -190,8 +190,53 @@ def test_product_table_stops_at_the_deadline():
         factor.distance_matrix()
     assert g.distance_matrix(time.monotonic() - 1) is None
     table = g.distance_matrix(time.monotonic() + 60)
-    assert table == all_pairs_distances(g)
+    assert [list(row) for row in table] == all_pairs_distances(g)
     assert g.distance_matrix(time.monotonic() - 1) is table
+
+
+def middle_first_path(n: int) -> Graph:
+    """P_n numbered from its middle vertex: vertex 0's BFS row fits in a
+    byte, the rows of the far ends do not once n > 257."""
+    label = [(i - n // 2) % n for i in range(n)]
+    return build_graph(n, [(label[i], label[i + 1]) for i in range(n - 1)])
+
+
+@pytest.mark.parametrize("build, row_type", [
+    (petersen, bytes),
+    # a product of factors that are not complete
+    (lambda: cartesian_product(cartesian_product(path(3), cycle(4)),
+                               complete(2)), bytes),
+    (lambda: cartesian_power(complete(4), 3), bytes),
+    (lambda: path(256), bytes),
+    (lambda: path(300), list),
+    (lambda: middle_first_path(300), list),
+    # factors of diameter 254 and 2, each with bytes rows
+    (lambda: cartesian_product(path(255), path(3)), list),
+], ids=["Petersen", "P3xC4xK2", "K4^3", "P256", "P300", "P300-middle-first",
+        "P255xP3"])
+def test_distance_rows_are_bytes_below_diameter_256(build, row_type):
+    # one row type per table: bytes while the diameter is below 256, else
+    # lists, equal entry by entry to the BFS oracle's rows either way
+    g = build()
+    table = g.distance_matrix()
+    assert {type(row) for row in table} == {row_type}
+    assert [list(row) for row in table] == all_pairs_distances(g)
+    assert g.diameter() == max(map(max, table))
+
+
+def test_product_table_takes_a_byte_an_entry():
+    # K_4^6's 4096 lists of 4096 ints took 129 MiB; its bytes rows take 16
+    g = cartesian_power(complete(4), 6)
+    tracemalloc.start()
+    try:
+        table = g.distance_matrix()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 << 20
+    # the entries of a sample of rows, against the coordinatewise sum
+    for u in range(0, 4096, 455):
+        assert list(table[u]) == [g.distance(u, v) for v in range(4096)]
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +352,8 @@ def test_big_flat_graph_refuses_distance_cache():
     assert flat.factors is None
     assert flat.distance(perm[0], perm[4]) == 2  # small flat graph: fine
     assert flat.distance_matrix() is flat.distance_matrix()
-    assert flat.distance_matrix() == all_pairs_distances(flat)
+    assert [list(row) for row in flat.distance_matrix()] \
+        == all_pairs_distances(flat)
     grid = cartesian_power(cycle(80), 2)  # 6400 > cache limit
     flat_big = parse_edge_list(format_edge_list(relabelled(grid, 80)[0]))
     assert flat_big.factors is None and flat_big.vertex_count == 6400
