@@ -333,30 +333,16 @@ def _product_rows(rows: Iterable, h_table: DistanceMatrix,
     at a time as they are asked for, numbering (g, h) as g|H| + h, as
     Graph._materialize_product_adjacency does.  Without adders the rows
     are lists.  With adders, the translate tables that add a to every
-    byte for each a up to the product's diameter, the rows are bytes,
-    built by C-level translates: H's row shifted by each entry of G's,
-    joined, or, when G's row is at least four times as long as H's, G's
-    row shifted by each entry of H's, written every |H|th byte, which
-    takes fewer and longer pieces.  On K_4^6, whose last fold would join
-    1024 four-byte pieces per row, the second way fills the table in
-    0.06 s against 0.45 s (2-vCPU host); at four times, the two ways
-    took the same time.  A function, so that each fold stage
-    keeps its own h_table: a generator expression's inner for looks its
-    name up only when it runs."""
+    byte for each a up to the product's diameter, the rows are bytes:
+    H's row shifted by each entry of G's, by C-level translates, joined.
+    A function, so that each fold stage keeps its own h_table: a
+    generator expression's inner for looks its name up only when it
+    runs."""
     if adders is None:
         return ([a + b for a in ra for b in rh]
                 for ra in rows for rh in h_table)
-    nh = len(h_table)
-
-    def row(ra: bytes, rh: bytes) -> bytes:
-        if len(ra) < 4 * nh:
-            return b"".join([rh.translate(adders[a]) for a in ra])
-        out = bytearray(len(ra) * nh)
-        for j, b in enumerate(rh):
-            out[j::nh] = ra.translate(adders[b])
-        return bytes(out)
-
-    return (row(ra, rh) for ra in rows for rh in h_table)
+    return (b"".join([rh.translate(adders[a]) for a in ra])
+            for ra in rows for rh in h_table)
 
 
 def _packed_window(sizes: Sequence[int], order: tuple
@@ -411,8 +397,8 @@ def _adjacency_from_edges(vertex_count: int, edges: Iterable[tuple]) -> tuple:
     for u, v in edges:
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise IndexOutOfRangeError(
-                f"edge ({_quoted_int(u)}, {_quoted_int(v)}) outside "
-                f"0..{_quoted_int(vertex_count - 1)}")
+                f"edge ({_cut(u, 'digits')}, {_cut(v, 'digits')}) outside "
+                f"0..{_cut(vertex_count - 1, 'digits')}")
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
         adjacency[u].add(v)
@@ -549,12 +535,15 @@ BUILDERS = {
 _QUOTED = 40  # characters of a bad line or integer an error quotes
 
 
-def _quoted_int(value: int) -> str:
-    """value's digits for an error, cut to the first _QUOTED characters
-    and its length when longer, as _line_tokens cuts a bad line."""
+def _cut(value: object, unit: str, quote: Callable[[str], str] = str
+         ) -> str:
+    """str(value) quoted for an error: whole, or its first _QUOTED
+    characters and its length in ``unit`` when longer, so the error
+    stays one short line."""
     text = str(value)
-    return text if len(text) <= _QUOTED else (
-        f"{text[:_QUOTED]}... ({len(text)} digits)")
+    return quote(text) if len(text) <= _QUOTED else (
+        f"{quote(text[:_QUOTED])}... ({len(text)} {unit})")
+
 
 # a line of two ASCII-digit tokens, with its line break; a text that
 # holds nothing else but blank lines splits into the same tokens as its
@@ -615,8 +604,7 @@ def _line_tokens(text: str) -> list:
             tokens += int(u), int(v)
         except ValueError:
             shape = "u v" if tokens else "n m"
-            got = repr(line) if len(line) <= _QUOTED else (
-                f"{line[:_QUOTED]!r}... ({len(line)} characters)")
+            got = _cut(line, "characters", repr)
             raise InvalidParameterError(
                 f"line {number}: expected {shape!r}, got {got}") from None
     return tokens
@@ -633,12 +621,12 @@ def _graph_from_tokens(text: str, tokens: list) -> Graph:
     # allocate for a huge n: a connected graph has at least n - 1 edges
     if m < n - 1:
         raise DisconnectedError(
-            f"graph is disconnected: the header declares {_quoted_int(m)} "
-            f"edges, fewer than the {_quoted_int(n - 1)} needed to connect "
-            f"{_quoted_int(n)} vertices")
+            f"graph is disconnected: the header declares {_cut(m, 'digits')} "
+            f"edges, fewer than the {_cut(n - 1, 'digits')} needed to connect "
+            f"{_cut(n, 'digits')} vertices")
     if len(us) != m:
         raise InvalidParameterError(
-            f"header declares {_quoted_int(m)} edges, found {len(us)}")
+            f"header declares {_cut(m, 'digits')} edges, found {len(us)}")
     power = _recognise_power(n, us, vs)
     if power is not None:
         return power

@@ -398,11 +398,9 @@ def find_consecutive_ordering(graph: Graph,
     iff d(v, w) >= k; it is built on first use from dist[v] reversed, as
     base-2 digits: on a table of bytes rows (diameter below 256) one
     C-level translate of the row, on a wider table a pass over its ints.
-    It is kept for this call only, in a list of n (diam + 1) slots (below
-    diameter 256 at most 2 KiB a vertex, above it at most the n^2 slots
-    of the table's own list rows), since only the masks the walk touches
-    are ever needed (all n * diam of them would take n^2 * diam / 8
-    bytes).
+    It is kept for this call only, in a list of n slots made for each k
+    the walk reaches, since only the masks the walk touches are ever
+    needed (all n * diam of them would take n^2 * diam / 8 bytes).
     The candidates at depth d are the unused vertices in far(diam - c + 1,
     x_{d-c}) for every c <= min(diam, d).  A candidate v's onward options
     are far(diam, v) ANDed with the same window one position on, which is
@@ -423,7 +421,7 @@ def find_consecutive_ordering(graph: Graph,
         return _result(graph, TIMEOUT, None, 0)
     diam = graph.diameter()
     order = [0] * n
-    masks = [None] * (n * (diam + 1))  # k * n + v -> far(k, v)
+    masks = [None] * (diam + 1)  # [k][v] -> far(k, v), a list per k used
     # at_least[k] maps a distance d to the digit of d >= k, for k <= diam
     at_least = ([b"0" * k + b"1" * (256 - k) for k in range(diam + 1)]
                 if isinstance(dist[0], bytes) else None)
@@ -431,10 +429,13 @@ def find_consecutive_ordering(graph: Graph,
     def far(k: int, v: int) -> int:
         # bit w set iff d(v, w) >= k: the digit of d(v, w) >= k, for w
         # from n - 1 down to 0, read in base 2
-        mask = masks[k * n + v]
+        at_k = masks[k]
+        if at_k is None:
+            at_k = masks[k] = [None] * n
+        mask = at_k[v]
         if mask is None:
             row = dist[v]
-            mask = masks[k * n + v] = int(
+            mask = at_k[v] = int(
                 row[::-1].translate(at_least[k]) if at_least else
                 bytes(map(k.__le__, reversed(row))).translate(_BINARY), 2)
         return mask
