@@ -51,7 +51,9 @@ def encode_coordinates(coords: Sequence[int], sizes: Sequence[int]) -> int:
     index = 0
     for c, size in zip(coords, sizes):
         if not 0 <= c < size:
-            raise IndexOutOfRangeError(f"coordinate {c} not in [0, {size})")
+            raise IndexOutOfRangeError(
+                f"coordinate {_cut(c, 'digits')} not in "
+                f"[0, {_cut(size, 'digits')})")
         index = index * size + c
     return index
 

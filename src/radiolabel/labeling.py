@@ -266,13 +266,14 @@ def ordering_from_json(text: str, graph: Optional[Graph] = None) -> tuple:
         base = data.get("n", max(map(max, raw)) + 1)
         _json_ints([base], '"n"')
         sizes = (base,) * width
+        power = f"{graphs._cut(base, 'digits')}^{width} coordinates"
         if graph is None:
-            graphs._check_size(sizes, f"{base}^{width} coordinates")
+            graphs._check_size(sizes, power)
         else:
             n = graph.vertex_count
             if _bounded_product(sizes, n) != n:
                 raise InvalidParameterError(
-                    f"{base}^{width} coordinates do not index {n} vertices")
+                    f"{power} do not index {n} vertices")
         return tuple(encode_coordinates(entry, sizes) for entry in raw)
     return tuple(_json_ints(raw, "flat indices"))
 
@@ -300,7 +301,8 @@ def labeling_from_json(text: str) -> Labeling:
         _json_ints([declared], '"span"')
         if declared != labeling.span:
             raise InvalidParameterError(
-                f"declared span {declared} != max label {labeling.span}")
+                f"declared span {graphs._cut(declared, 'digits')} != max "
+                f"label {graphs._cut(labeling.span, 'digits')}")
     return labeling
 
 

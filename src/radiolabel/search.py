@@ -101,10 +101,12 @@ def exact_radio_number(graph: Graph, prune: bool = True,
       max(1, diam + 1 - ecc(w)) over the unplaced w.
     - Level bound: fix a centre c, the vertex of least total distance
       (lowest index on ties), and let L(x) = d(c, x).  By the triangle
-      inequality through c, d(u, w) <= L(u) + L(w).  Summed over the r
-      steps after the last placed vertex v, the rest costs at least
-      r(diam + 1) - L(v) - 2 * (sum of L(w) over the unplaced w): each
-      unplaced vertex is an end of at most two of those steps, v of one.
+      inequality through c, d(u, w) <= L(u) + L(w).  Summed over the
+      r >= 1 steps after the last placed vertex v, the rest costs at
+      least r(diam + 1) - L(v) - 2 * (sum of L(w) over the unplaced w) +
+      L(z), z the last vertex of the ordering: each unplaced vertex is an
+      end of at most two of those steps, v and z of one.  The end term
+      L(z) is at least m, the least level of the unplaced vertices.
     - Pair bound: two consecutive steps x, y, z raise the label by at
       least 2(diam + 1) - d(x, y) - d(y, z), and by at least diam + 1 -
       d(x, z), since the labeling is radio; so by at least pair =
@@ -120,7 +122,8 @@ def exact_radio_number(graph: Graph, prune: bool = True,
     Das, Ghosh, Nandi and Sen generalise the triple sum ("A lower bound
     technique for radio k-coloring", Discrete Math. 340, 2017).  Each node
     of the walk carries the eccentricity and level bounds (the pair bound
-    depends on the depth alone), its last label and a gap vector: w placed
+    depends on the depth alone), the unplaced vertex of least level and
+    the next least level, its last label and a gap vector: w placed
     next takes that label plus gap[w], where the label w takes is the
     maximum over the placed p of label(p) + diam + 1 - d(w, p), and 1 at
     the root (last label 0, every gap 1).  The last placed vertex's term
@@ -130,6 +133,11 @@ def exact_radio_number(graph: Graph, prune: bool = True,
     max(gap[w] - gap[v], diam + 1 - d(v, w)), one pass over v's row, and
     each candidate's label is one read; each bound then cuts w with one
     comparison of gap[w] against the room it leaves below the best span.
+    The least levels are read off the vertices sorted once by level, ties
+    by index: a child scans on from its parent's first unplaced position,
+    which only moves forward along a path of the walk.  The end term took
+    rn(P_14) from 3.7-5.4 s to 0.6-1.0 s (2-vCPU host), with the same
+    witness and orderings_examined.
     Every gap lies in 1..diam + 1, so below diameter 256 it is one of
     CPython's cached small ints and a vector costs one 8-byte list slot an
     entry.  At full depth the vectors take |V|^2 slots, eight times the
@@ -227,32 +235,40 @@ def exact_radio_number(graph: Graph, prune: bool = True,
     examined = 0
     order = [0] * n
     used = [False] * n
+    by_level = sorted(range(n), key=level.__getitem__)  # ties by index
     # per depth: the candidates not yet tried there, the sum of cost over
     # the unplaced vertices, the last label placed, gap: the label each
-    # vertex takes if placed there less that last label, and reach: the
-    # level bound on the steps after candidate v is reach + level[v]
+    # vertex takes if placed there less that last label, reach: the level
+    # bound on the steps after candidate v is reach + level[v] + m, where
+    # m is the least level of the unplaced vertices but v, first: the
+    # position in by_level of the first unplaced vertex, low: that
+    # vertex, and past_low: the level of the next unplaced one, 0 if none
     nodes = [None] * n
     nodes[0] = (_first_vertex_representatives(graph), rest, 0, [1] * n,
-                reach)
+                reach, 0, by_level[0], level[by_level[1]] if n > 1 else 0)
     depth = 0
     timed_out = time.monotonic() > deadline
     while depth >= 0 and not timed_out:
-        candidates, rest, last, gap, reach = nodes[depth]
+        candidates, rest, last, gap, reach, first, low, past_low = \
+            nodes[depth]
         # candidate v takes label last + gap[v]; it is cut once that label
         # plus a bound on the steps after it reaches best_span.  Each room
         # is best_span - last less one bound, so a cut is one comparison
         # on gap[v]: the pair bound tail[r], the eccentricity bound
-        # rest - cost[v] and the level bound reach + level[v]
+        # rest - cost[v] and the level bound reach + level[v] + m, m being
+        # level[low] unless v is low (at a leaf v is low, and m is 0)
         room = best_span - last
         pair_room = room - tail[n - depth - 1]
         ecc_room = room - rest
-        level_room = room - reach
+        level_room = room - reach - level[low]
+        low_room = room - reach - past_low
         for v in candidates:
             if used[v]:
                 continue
             step = gap[v]
             if (step >= pair_room or step - cost[v] >= ecc_room
-                    or step + level[v] >= level_room):
+                    or step + level[v] >= (
+                        low_room if v == low else level_room)):
                 continue
             order[depth] = v
             label = last + step
@@ -267,10 +283,20 @@ def exact_radio_number(graph: Graph, prune: bool = True,
             depth += 1
             # max(x, step + bound - d) - step: the gaps past label
             top = step + bound
+            # first scans on from the parent's, since v was unplaced;
+            # inline, as a call per node cost about 4% on graphs where the
+            # end term cuts few nodes
+            while used[by_level[first]]:
+                first += 1
+            after = first + 1
+            while after < n and used[by_level[after]]:
+                after += 1
             nodes[depth] = (iter(range(n)), rest - cost[v], label,
                             [x - step if x > (y := top - d) else y - step
                              for x, d in zip(gap, dist[v])],
-                            reach - bound + 2 * level[v])
+                            reach - bound + 2 * level[v], first,
+                            by_level[first],
+                            level[by_level[after]] if after < n else 0)
             timed_out = time.monotonic() > deadline
             break
         else:

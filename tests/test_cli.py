@@ -322,16 +322,16 @@ def test_bad_search_budget_is_an_error_line(capsys, tmp_path):
 
 
 def test_radio_number_budget_prints_an_upper_bound(capsys, tmp_path):
-    # the 14-path takes far longer than the budget to settle; rn(P_14) is
-    # 86 with labels from 1 (Liu and Zhu)
-    p14 = write(tmp_path, "p14.txt", counted_edge_list(
-        14, [(v, v + 1) for v in range(13)]))
-    code, out, err = run(capsys, "radio-number", p14, "--budget", "0.2",
+    # the 16-path does not settle even in 3 s; rn(P_16) is 114 with labels
+    # from 1 (Liu and Zhu)
+    p16 = write(tmp_path, "p16.txt", counted_edge_list(
+        16, [(v, v + 1) for v in range(15)]))
+    code, out, err = run(capsys, "radio-number", p16, "--budget", "0.2",
                          "--format", "json")
     assert code == 0 and err == ""
     result = json.loads(out)
     assert result["status"] == "timeout"
-    assert result["span"] >= 86
+    assert result["span"] >= 114
     assert max(result["labels"]) == result["span"]
 
 
@@ -346,8 +346,18 @@ P3 = "3 2\n0 1\n1 2\n"
     ("induce", b'{"order": [[], [], []]}', "coordinate tuples"),
     ("verify", b"\xff\xfe", "not UTF-8"),
     ("verify", b'{"labels": [3, 1, 2], "span": 3.0}', '"span" must be'),
+    # 4000-digit integers, within int()'s limit, quoted cut short
+    ("verify", b'{"labels": [3, 1, 2], "span": ' + b"9" * 4000 + b"}",
+     "error: declared span " + "9" * 40 + "... (4000 digits) != max label "
+     "3\n"),
+    ("induce", b'{"order": [[0], [1], [2]], "n": ' + b"9" * 4000 + b"}",
+     "error: " + "9" * 40 + "... (4000 digits)^1 coordinates do not index 3 "
+     "vertices\n"),
+    ("induce", b'{"order": [[0], [1], [' + b"9" * 4000 + b']], "n": 3}',
+     "error: coordinate " + "9" * 40 + "... (4000 digits) not in [0, 3)\n"),
 ], ids=["labels-array", "order-array", "labels-truncated", "order-truncated",
-        "empty-coordinates", "labels-not-utf8", "span-float"])
+        "empty-coordinates", "labels-not-utf8", "span-float", "long-span",
+        "long-base", "long-coordinate"])
 def test_malformed_json_is_an_error_line(capsys, tmp_path, command, text,
                                          message):
     graph = write(tmp_path, "p3.txt", P3)

@@ -536,6 +536,14 @@ def test_ordering_json_huge_base_without_a_graph_is_refused_at_once():
     assert time.perf_counter() - start < 0.5
 
 
+def test_ordering_json_huge_base_without_a_graph_is_quoted_cut_short():
+    text = json.dumps({"order": [[0], [1]], "n": int("9" * 4000)})
+    with pytest.raises(SizeLimitExceededError) as caught:
+        ordering_from_json(text)
+    assert str(caught.value).startswith("9" * 40 + "... (4000 digits)^1 ")
+    assert len(str(caught.value)) < 100
+
+
 def test_ordering_json_rejects_non_integers():
     for text in ('{"order": [0.7, 1, 2, 3, 4]}',
                  '{"order": [true, 1, 2]}',
