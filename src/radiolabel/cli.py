@@ -2,6 +2,9 @@
 
 Exit codes: 0 on success, 1 when a validation or size guard fails, 2 on
 usage errors.  Output is deterministic for fixed inputs and flags.
+
+`main` builds only the parser of the subcommand it is given; its help
+and usage errors read byte for byte as the full parser's.
 """
 
 from __future__ import annotations
@@ -174,50 +177,45 @@ def _cmd_threshold(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="radiolabel",
-        description="Radio labelings of graphs: checks, consecutive "
-                    "orderings of powers of complete graphs, exhaustive "
-                    "search, and impossibility thresholds.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# ---------------------------------------------------------------------------
+# subcommand arguments
+# ---------------------------------------------------------------------------
 
-    p = sub.add_parser("builtin", help="emit a named graph as an edge list")
+def _builtin_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("name", choices=sorted(graphs.BUILDERS))
     p.add_argument("--n", type=int, default=3, help="size parameter")
     p.add_argument("--out", help="output file (default stdout)")
-    p.set_defaults(handler=_cmd_builtin)
 
-    p = sub.add_parser("product", help="Cartesian product of two graphs")
+
+def _product_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph_a")
     p.add_argument("graph_b")
     p.add_argument("--out")
-    p.set_defaults(handler=_cmd_product)
 
-    p = sub.add_parser("power", help="Cartesian power of a graph")
+
+def _power_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(handler=_cmd_power)
 
-    p = sub.add_parser("order-knt",
-                       help="consecutive-labeling ordering of K_n^t")
+
+def _order_knt_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--flat", action="store_true",
                    help="emit flat vertex indices instead of tuples")
     p.add_argument("--out")
-    p.set_defaults(handler=_cmd_order_knt)
 
-    p = sub.add_parser("induce", help="labeling induced by an ordering")
+
+def _induce_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph")
     p.add_argument("ordering", nargs="?", default="-",
                    help="ordering JSON (default stdin)")
     p.add_argument("--out", help="write the labeling JSON here")
     _format_flag(p)
-    p.set_defaults(handler=_cmd_induce)
 
-    p = sub.add_parser("verify", help="check a labeling file")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph")
     p.add_argument("labeling", nargs="?", default="-",
                    help="labeling JSON (default stdin)")
@@ -225,9 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-violations", action="store_true",
                    help="report every violating pair, not just the first")
     _format_flag(p)
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("radio-number", help="exact radio number (small |V|)")
+
+def _radio_number_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph")
     p.add_argument("--no-prune", action="store_true",
                    help="plain enumeration of all orderings")
@@ -235,30 +233,72 @@ def build_parser() -> argparse.ArgumentParser:
                    help="no effect: twin starts are always skipped")
     _budget_flag(p)
     _format_flag(p)
-    p.set_defaults(handler=_cmd_radio_number)
 
-    p = sub.add_parser("search-consecutive",
-                       help="backtracking search for a consecutive witness")
+
+def _search_consecutive_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph")
     _budget_flag(p)
     _format_flag(p)
-    p.set_defaults(handler=_cmd_search_consecutive)
 
-    p = sub.add_parser("threshold",
-                       help="impossibility threshold s and power verdicts")
+
+def _threshold_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", help="base graph file (diameter is computed)")
     p.add_argument("--n", type=int, help="base vertex count")
     p.add_argument("--diam", type=int, help="base diameter")
     p.add_argument("--t", type=int, action="append",
                    help="power to classify (repeatable)")
     _format_flag(p)
-    p.set_defaults(handler=_cmd_threshold)
 
+
+# name -> (help line, adds its arguments, handler), in the usage line's order
+COMMANDS = {
+    "builtin": ("emit a named graph as an edge list",
+                _builtin_args, _cmd_builtin),
+    "product": ("Cartesian product of two graphs",
+                _product_args, _cmd_product),
+    "power": ("Cartesian power of a graph", _power_args, _cmd_power),
+    "order-knt": ("consecutive-labeling ordering of K_n^t",
+                  _order_knt_args, _cmd_order_knt),
+    "induce": ("labeling induced by an ordering",
+               _induce_args, _cmd_induce),
+    "verify": ("check a labeling file", _verify_args, _cmd_verify),
+    "radio-number": ("exact radio number (small |V|)",
+                     _radio_number_args, _cmd_radio_number),
+    "search-consecutive": ("backtracking search for a consecutive witness",
+                           _search_consecutive_args,
+                           _cmd_search_consecutive),
+    "threshold": ("impossibility threshold s and power verdicts",
+                  _threshold_args, _cmd_threshold),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with ``command``'s alone.
+
+    With one subcommand the usage line still lists all of them.  The
+    list is not set as the metavar of the full parser, whose errors name
+    the argument ``command``."""
+    parser = argparse.ArgumentParser(
+        prog="radiolabel",
+        description="Radio labelings of graphs: checks, consecutive "
+                    "orderings of powers of complete graphs, exhaustive "
+                    "search, and impossibility thresholds.")
+    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        help_line, add_arguments, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        add_arguments(p)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # one call parses one subcommand; with none named (help, an unknown
+    # command, a leading flag) the full parser reports it
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     # --graph alone, or both --n and --diam without it
     if args.command == "threshold" and (

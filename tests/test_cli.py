@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import complete_bipartite, counted_edge_list
 from radiolabel import (cycle, flat_indices, format_edge_list, knt_ordering,
                         parse_edge_list)
+from radiolabel import cli
 from radiolabel.cli import main
 from radiolabel.labeling import ordering_to_json
 
@@ -267,6 +269,92 @@ def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as info:
         main(["builtin", "petersen", "--frobnicate"])
     assert info.value.code == 2
+    capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# main builds one subcommand's parser; what it prints is the full parser's
+# ---------------------------------------------------------------------------
+
+USAGE_CASES = (
+    [[], ["-h"]] + [[command, "-h"] for command in cli.COMMANDS]
+    + [["verify"],  # a missing positional
+       ["verify", "g.txt", "--bogus"],
+       ["induce", "g.txt", "--format", "xml"],
+       ["verify", "g.txt", "--k", "x"],
+       ["nope"], ["verif"],  # an unknown command, and a prefix of one
+       ["-h", "verify"], ["--bogus", "verify"],
+       ["threshold", "--n", "3"]])  # the group error main raises
+
+
+def outcome(argv) -> tuple:
+    """(exit code, stdout, stderr) of ``main(argv)``, which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+    return info.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", USAGE_CASES, ids=" ".join)
+def test_usage_output_is_the_full_parsers(monkeypatch, argv):
+    # the same main, once as it runs and once with every subcommand's
+    # parser built, gives the same bytes: help, usage lines and errors
+    monkeypatch.setenv("COLUMNS", "80")
+    mine = outcome(argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert mine == outcome(argv)
+    assert mine[0] == (0 if "-h" in argv else 2)
+
+
+def test_errors_with_no_command_name_the_command_argument():
+    # the list of commands is the usage line's metavar only when a command
+    # is named; as the full parser's metavar it would replace "command"
+    assert outcome([])[2].endswith(
+        "radiolabel: error: the following arguments are required: "
+        "command\n")
+    assert "radiolabel: error: argument command: invalid choice: 'verif'" \
+        in outcome(["verif"])[2]
+
+
+def subparsers(parser) -> dict:
+    """Subcommand name -> its parser."""
+    (action,) = [action for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction)]
+    return action.choices
+
+
+def action_fields(parser) -> list:
+    return [(type(a), a.option_strings, a.dest, a.default, a.type, a.choices,
+             a.nargs, a.const, a.required, a.help, a.metavar)
+            for a in parser._actions]
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_one_command_parser_has_the_full_parsers_arguments(command):
+    (alone,) = subparsers(cli.build_parser(command)).values()
+    full = subparsers(cli.build_parser())[command]
+    assert alone.prog == full.prog == f"radiolabel {command}"
+    assert action_fields(alone) == action_fields(full)
+    assert alone._defaults == full._defaults
+
+
+def test_main_builds_one_subparser_for_a_named_command(monkeypatch, capsys):
+    # all nine cost about 1.2 ms a call, one about 0.2 ms; with no command
+    # named, help and the invalid-choice error list all nine
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kwargs: added.append(name)
+                        or add_parser(self, name, **kwargs))
+    assert main(["builtin", "petersen"]) == 0
+    assert added == ["builtin"]
+    for argv in (["-h"], ["nope"]):
+        added.clear()
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert added == list(cli.COMMANDS)
     capsys.readouterr()
 
 
