@@ -780,8 +780,9 @@ def mutated_power_files(draw):
     """An edge-list file of a small power F^t with one mutation: a token
     moved onto the line above, other line ends, blank lines, no final
     newline, other whitespace between two tokens, tokens that int() reads
-    but are not ASCII digits, or an edge line made a duplicate, a
-    self-loop or out of range."""
+    but are not ASCII digits, an edge line made a duplicate, a self-loop
+    or out of range, two edge lines swapped, a pair written as 'v u', the
+    header's edge count off by one, or a trailing space on a line."""
     g = cartesian_power(draw(POWER_BASES), draw(st.integers(2, 3)))
     n = g.vertex_count
     lines = format_edge_list(g).splitlines()
@@ -791,7 +792,7 @@ def mutated_power_files(draw):
     kind = draw(st.sampled_from((
         "3+1", "crlf", "cr", "blank", "no-final-newline", "separator",
         "plus", "underscore", "non-ascii", "duplicate", "self-loop",
-        "range")))
+        "range", "swap", "reversed", "count", "trailing-space")))
     if kind == "3+1":  # two lines of three and one tokens
         a, b = lines[i - 1].split()
         lines[i - 1:i + 1] = [f"{a} {b} {u}", v]
@@ -815,8 +816,17 @@ def mutated_power_files(draw):
         lines[i] = draw(st.sampled_from((f"{x} {y}", f"{y} {x}")))
     elif kind == "self-loop":
         lines[i] = f"{u} {u}"
-    else:
+    elif kind == "range":
         lines[i] = f"{u} {n + draw(st.integers(0, 2))}"
+    elif kind == "swap":
+        j = draw(st.integers(1, len(lines) - 1).filter(lambda j: j != i))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "reversed":
+        lines[i] = f"{v} {u}"
+    elif kind == "count":
+        lines[0] = f"{n} {len(lines) - 1 + draw(st.sampled_from((-1, 1)))}"
+    else:
+        lines[i] += " "
     return sep.join(lines) + end
 
 
@@ -880,3 +890,94 @@ def test_parsed_power_keeps_no_adjacency():
         tracemalloc.stop()
     assert g.factor_sizes == (6,) * 4
     assert kept < 100_000
+
+
+# ---------------------------------------------------------------------------
+# reading a written power back by writing it again
+# ---------------------------------------------------------------------------
+
+WRITTEN_POWERS = {
+    "K4^3": cartesian_power(complete(4), 3),
+    "K7^3": cartesian_power(complete(7), 3),
+    "petersen^2": cartesian_power(petersen(), 2),
+    "P3^3": cartesian_power(path(3), 3),
+    "C5^2": cartesian_power(cycle(5), 2),
+}
+
+
+@pytest.mark.parametrize("name", WRITTEN_POWERS)
+def test_written_powers_are_read_back_without_tokenising(monkeypatch, name):
+    power = WRITTEN_POWERS[name]
+    text = format_edge_list(power)
+
+    def refuse(*args):
+        raise AssertionError("token path on a written power")
+
+    monkeypatch.setattr(graphs, "_recognise_power", refuse)
+    again = parse_edge_list(text)
+    monkeypatch.undo()
+    assert again.factor_sizes == power.factor_sizes
+    assert again.edges() == power.edges()
+
+
+@pytest.mark.parametrize("kind", ["swap", "reversed"])
+@pytest.mark.parametrize("name", WRITTEN_POWERS)
+def test_powers_out_of_written_form_take_the_token_path(monkeypatch, name,
+                                                        kind):
+    power = WRITTEN_POWERS[name]
+    lines = format_edge_list(power).splitlines()
+    if kind == "swap":
+        lines[1], lines[-1] = lines[-1], lines[1]
+    else:
+        u, v = lines[1].split()
+        lines[1] = f"{v} {u}"
+    recognise, calls = graphs._recognise_power, []
+
+    def spy(*args):
+        calls.append(args)
+        return recognise(*args)
+
+    monkeypatch.setattr(graphs, "_recognise_power", spy)
+    again = parse_edge_list("\n".join(lines) + "\n")
+    assert calls
+    assert again.factor_sizes == power.factor_sizes
+    assert again.edges() == power.edges()
+
+
+def adjacency_text(graph) -> str:
+    """The edge-list text of ``graph`` read off its adjacency: its sorted
+    edges under an "n m" header."""
+    edges = sorted((u, v) for u, nbrs in enumerate(graph.adjacency)
+                   for v in nbrs if u < v)
+    return "".join([f"{graph.vertex_count} {len(edges)}\n"]
+                   + [f"{u} {v}\n" for u, v in edges])
+
+
+def test_products_are_written_without_their_adjacency():
+    corpus = kernel_corpus() + [
+        ("K1xP3", cartesian_product(complete(1), path(3))),
+        ("(K3xP3)x(C4xK2)", cartesian_product(
+            cartesian_product(complete(3), path(3)),
+            cartesian_product(cycle(4), complete(2)))),
+    ]
+    for name, g in corpus:
+        text = format_edge_list(g)
+        if g.factors is not None:
+            assert g._adjacency is None, name
+        assert text == adjacency_text(g), name
+
+
+@pytest.mark.parametrize("text", [
+    "9" * 4000 + " 2\n0 1\n1 2\n",
+    "3 " + "9" * 4000 + "\n0 1\n1 2\n",
+    "3 2\n0 1\n1 " + "9" * 4000 + "\n",
+    "9" * 5000 + " 2\n0 1\n1 2\n",
+    "16 " + "9" * 5000 + "\n0 1\n",
+    # written P_3^2 with the line "0 3" among F's leading lines made huge
+    format_edge_list(cartesian_power(path(3), 2)).replace(
+        "\n0 3\n", "\n0 " + "9" * 5000 + "\n"),
+], ids=["huge-n", "huge-m", "huge-vertex", "n-past-int", "m-past-int",
+        "vertex-past-int"])
+def test_huge_integers_are_not_read_back_as_written(text):
+    # refused before any root is taken or any text is written
+    assert graphs._written_power(text) is None
