@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 import os
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import add, attrgetter, sub
 from typing import Optional, Sequence, TextIO, Union
 
 from .errors import (
@@ -32,12 +33,14 @@ class Labeling:
     labels: tuple
 
     def __post_init__(self):
-        if not self.labels:
+        # the tuple first: validating an iterator would consume it
+        labels = tuple(self.labels)
+        object.__setattr__(self, "labels", labels)
+        if not labels:
             raise IncompleteLabelingError("labeling is empty")
         # type(x) is int also turns away bools
-        if any(type(x) is not int or x < 1 for x in self.labels):
+        if any(type(x) is not int or x < 1 for x in labels):
             raise IncompleteLabelingError("labels must be positive integers")
-        object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
     def span(self) -> int:
@@ -69,7 +72,7 @@ def validate_ordering(graph: Graph, order: Sequence[int]) -> tuple:
 
 def _labels_of(graph: Graph, labeling: Union[Labeling, Sequence[int]]) -> tuple:
     if not isinstance(labeling, Labeling):
-        labeling = Labeling(tuple(labeling))
+        labeling = Labeling(labeling)
     if len(labeling) != graph.vertex_count:
         raise IncompleteLabelingError(
             f"{len(labeling)} labels for {graph.vertex_count} vertices")
@@ -82,16 +85,78 @@ def check_k_radio(graph: Graph, labeling: Union[Labeling, Sequence[int]],
 
     Violations come in (u, v) order with u < v, and with fail_fast only
     the first of them is returned.  Since d(u, v) >= 1, a pair whose
-    labels differ by k or more always passes, so the check groups the
-    vertices by label and tests only pairs whose labels differ by less
-    than k: O(N log N + N k m) work for N vertices and at most m
-    vertices sharing one label, not all N^2 / 2 pairs.
+    labels differ by k or more always passes, so only pairs whose labels
+    differ by less than k are tested, along one of two paths.
+
+    Distinct labels, as every radio labeling at k = diam has: the
+    vertices are sorted by label once, and the pairs c places apart in
+    that order are tested together for c = 1, 2, ...  Their gaps are at
+    least c and never shrink as c grows, so the scan stops at the first
+    offset whose least gap is k or more: O(N log N + N k) work for N
+    vertices, each offset's distances and gaps taken in C-level passes,
+    and a Python loop only over an offset that holds a violation.
+
+    Repeated labels (a colouring at k < diam): the vertices are grouped
+    by label and each probes the 2k - 1 labels around its own,
+    O(N log N + N k m) work for at most m vertices sharing one label.
+    An offset scan there tests pairs across equal labels and pays its
+    per-offset passes for each: on the k = 1 colouring of K_5^4 it took
+    about 27 ms against 10 ms.
+
+    fail_fast takes the grouped loop, which stops at the first vertex
+    with a violation; on distinct labels only once an offset has shown
+    that there is one.  Neither path reads the window kernels
+    (Graph._window_distances), which this check audits.
     """
     labels = _labels_of(graph, labeling)
     diam = graph.diameter()
     if not 1 <= k <= max(diam, 1):
         raise KOutOfRangeError(f"k={k} not in [1, {max(diam, 1)}]")
     dist = graph._distance_function()
+    if len(set(labels)) == len(labels):
+        violations = _offset_violations(labels, k, dist, fail_fast)
+        if violations is not None:
+            return violations
+    return _bucket_violations(labels, k, dist, fail_fast)
+
+
+def _offset_violations(labels: tuple, k: int, dist,
+                       fail_fast: bool) -> Optional[list]:
+    """Violations among distinct labels, one offset c of the label order
+    at a time: order[i] and order[i + c] differ by gap s[i + c] - s[i],
+    and violate iff d + gap <= k.  None when fail_fast meets the first
+    violating offset.  Violations are kept per lower vertex and each list
+    sorted by v, as the grouped loop does: one sort of them all by (u, v)
+    took half as long again on the 415728 violations of a random
+    labeling of P_1000 (1.6 s against 1.05 s)."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    s = sorted(labels)
+    rows = defaultdict(list)  # lower vertex -> its violations
+    for c in range(1, min(k, len(s))):
+        gaps = list(map(sub, s[c:], s))
+        if min(gaps) >= k:
+            break
+        distances = list(map(dist, order, order[c:]))
+        if min(map(add, distances, gaps)) > k:
+            continue
+        if fail_fast:
+            return None
+        for u, v, d, gap in zip(order, order[c:], distances, gaps):
+            if d + gap <= k:
+                if u < v:
+                    rows[u].append(Violation(u, v, k + 1 - d, gap))
+                else:
+                    rows[v].append(Violation(v, u, k + 1 - d, gap))
+    violations = []
+    by_v = attrgetter("v")
+    for u in sorted(rows):
+        violations += sorted(rows[u], key=by_v)
+    return violations
+
+
+def _bucket_violations(labels: tuple, k: int, dist, fail_fast: bool) -> list:
+    """Violations found vertex by vertex: u probes the labels within k - 1
+    of its own and tests the later vertices holding them."""
     buckets = {}  # label -> its vertices, ascending
     for v, label in enumerate(labels):
         buckets.setdefault(label, []).append(v)
@@ -143,7 +208,7 @@ def induced_labeling(graph: Graph, order: Sequence[int]) -> Labeling:
     if _window_holds(graph, order):
         for i, v in enumerate(order, 1):
             labels[v] = i
-        return Labeling(tuple(labels))
+        return Labeling(labels)
     diam = graph.diameter()
     dist = graph._distance_function()
     bound = diam + 1
@@ -157,7 +222,7 @@ def induced_labeling(graph: Graph, order: Sequence[int]) -> Labeling:
                 best = candidate
         labels[v] = best
         prev = best
-    return Labeling(tuple(labels))
+    return Labeling(labels)
 
 
 def is_consecutive(graph: Graph,
@@ -215,6 +280,12 @@ def _json_ints(values: list, what: str) -> list:
     return values
 
 
+def _json_int(value, what: str) -> None:
+    """Insist that one value is a JSON integer, as _json_ints does."""
+    if type(value) is not int:
+        raise InvalidParameterError(f"{what} must be an integer")
+
+
 def _json_object(text: str, what: str) -> dict:
     """The parsed text, insisting on well-formed JSON with an object at the
     top level."""
@@ -264,7 +335,7 @@ def ordering_from_json(text: str, graph: Optional[Graph] = None) -> tuple:
         for entry in raw:
             _json_ints(entry, "coordinates")
         base = data.get("n", max(map(max, raw)) + 1)
-        _json_ints([base], '"n"')
+        _json_int(base, '"n"')
         sizes = (base,) * width
         power = f"{graphs._cut(base, 'digits')}^{width} coordinates"
         if graph is None:
@@ -295,10 +366,10 @@ def labeling_from_json(text: str) -> Labeling:
     labels = data.get("labels")
     if not isinstance(labels, list):
         raise InvalidParameterError('labeling JSON needs a "labels" list')
-    labeling = Labeling(tuple(_json_ints(labels, "labels")))
+    labeling = Labeling(_json_ints(labels, "labels"))
     declared = data.get("span")
     if declared is not None:
-        _json_ints([declared], '"span"')
+        _json_int(declared, '"span"')
         if declared != labeling.span:
             raise InvalidParameterError(
                 f"declared span {graphs._cut(declared, 'digits')} != max "

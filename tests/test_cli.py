@@ -433,7 +433,10 @@ P3 = "3 2\n0 1\n1 2\n"
     ("induce", b'{"order": [0, 1', "malformed"),
     ("induce", b'{"order": [[], [], []]}', "coordinate tuples"),
     ("verify", b"\xff\xfe", "not UTF-8"),
-    ("verify", b'{"labels": [3, 1, 2], "span": 3.0}', '"span" must be'),
+    ("verify", b'{"labels": [3, 1, 2], "span": 10.0}',
+     'error: "span" must be an integer\n'),
+    ("induce", b'{"order": [[0], [1], [2]], "n": 3.5}',
+     'error: "n" must be an integer\n'),
     # 4000-digit integers, within int()'s limit, quoted cut short
     ("verify", b'{"labels": [3, 1, 2], "span": ' + b"9" * 4000 + b"}",
      "error: declared span " + "9" * 40 + "... (4000 digits) != max label "
@@ -444,7 +447,8 @@ P3 = "3 2\n0 1\n1 2\n"
     ("induce", b'{"order": [[0], [1], [' + b"9" * 4000 + b']], "n": 3}',
      "error: coordinate " + "9" * 40 + "... (4000 digits) not in [0, 3)\n"),
 ], ids=["labels-array", "order-array", "labels-truncated", "order-truncated",
-        "empty-coordinates", "labels-not-utf8", "span-float", "long-span",
+        "empty-coordinates", "labels-not-utf8", "span-float", "n-float",
+        "long-span",
         "long-base", "long-coordinate"])
 def test_malformed_json_is_an_error_line(capsys, tmp_path, command, text,
                                          message):

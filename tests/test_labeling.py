@@ -370,15 +370,77 @@ CHECK_CORPUS = kernel_corpus() + small_corpus()
 @given(data=st.data())
 def test_k_radio_agrees_with_pairwise_scan(name, g, data):
     # narrow labels repeat heavily, so for k < diam many equal-label pairs
-    # are tested; wide labels leave gaps in the span
+    # are tested; wide labels leave gaps in the span.  Distinct labels
+    # take the offset scan: a permutation of 1..N, as a consecutive
+    # labeling has, and N labels drawn from 1..3N
     n = g.vertex_count
     top = data.draw(st.sampled_from((max(2, n // 4), 3 * n)), label="top")
     labels = data.draw(st.lists(st.integers(1, top), min_size=n,
                                 max_size=n), label="labels")
-    for k in range(1, max(g.diameter(), 1) + 1):
-        for fail_fast in (False, True):
-            assert check_k_radio(g, labels, k, fail_fast) == \
-                reference_k_radio(g, labels, k, fail_fast), (name, k)
+    consecutive = data.draw(st.permutations(range(1, n + 1)),
+                            label="consecutive")
+    spread = data.draw(st.lists(st.integers(1, 3 * n), min_size=n,
+                                max_size=n, unique=True), label="spread")
+    for labels in (labels, consecutive, spread):
+        for k in range(1, max(g.diameter(), 1) + 1):
+            for fail_fast in (False, True):
+                assert check_k_radio(g, labels, k, fail_fast) == \
+                    reference_k_radio(g, labels, k, fail_fast), (name, k)
+
+
+def test_violations_name_the_lower_vertex_first():
+    # sorted by label the P_4 vertices are 2, 3, 1, 0: at offset 1 the
+    # pairs (3, 1) and (1, 0) put the higher vertex first, and offset 2
+    # finds (1, 2) after offset 1 found (1, 3)
+    labels = (4, 3, 1, 2)
+    assert [(w.u, w.v, w.required_gap, w.actual_gap)
+            for w in check_radio(path(4), labels)] == [
+        (0, 1, 3, 1), (1, 2, 3, 2), (1, 3, 2, 1), (2, 3, 3, 1)]
+    assert check_radio(path(4), labels, fail_fast=True) == \
+        [Violation(0, 1, 3, 1)]
+
+
+def test_radio_check_reads_no_window_kernel(monkeypatch):
+    # the check audits what the window kernels compute, so it must not
+    # lean on them
+    g = cartesian_power(complete(4), 3)
+    labels = list(induced_labeling(g, flat_indices(knt_ordering(4, 3), 4))
+                  .labels)
+    swapped = list(labels)
+    swapped[5], swapped[40] = swapped[40], swapped[5]
+
+    def refuse(*args):
+        raise AssertionError("window kernel called")
+
+    monkeypatch.setattr(graphs, "_packed_window", refuse)
+    monkeypatch.setattr(Graph, "_window_distances", refuse)
+    assert check_radio(g, labels) == [] == reference_k_radio(g, labels, 3)
+    found = check_radio(g, swapped)
+    assert found and found == reference_k_radio(g, swapped, 3)
+
+
+def test_fail_fast_stops_after_the_first_violating_offset(monkeypatch):
+    # a random permutation of P_400's labels at k = diam breaks at the
+    # first offset; the full scan would make up to N k queries
+    g = path(400)
+    n = g.vertex_count
+    labels = list(range(1, n + 1))
+    random.Random(29).shuffle(labels)
+    calls = []
+    kernel = Graph._distance_function
+
+    def counted(graph):
+        dist = kernel(graph)
+
+        def query(u, v):
+            calls.append(None)
+            return dist(u, v)
+        return query
+
+    monkeypatch.setattr(Graph, "_distance_function", counted)
+    first = check_radio(g, labels, fail_fast=True)
+    assert len(calls) <= 3 * n
+    assert first == reference_k_radio(g, labels, n - 1, fail_fast=True)
 
 
 @pytest.mark.parametrize("check", [induced_labeling,
@@ -548,10 +610,12 @@ def test_ordering_json_rejects_non_integers():
     for text in ('{"order": [0.7, 1, 2, 3, 4]}',
                  '{"order": [true, 1, 2]}',
                  '{"order": [[0, 1], [1, 0.0]]}',
-                 '{"order": [[0, 1], [false, 0]]}',
-                 '{"n": 2.0, "order": [[0, 1], [1, 0]]}'):
+                 '{"order": [[0, 1], [false, 0]]}'):
         with pytest.raises(InvalidParameterError):
             ordering_from_json(text)
+    with pytest.raises(InvalidParameterError,
+                       match='^"n" must be an integer$'):
+        ordering_from_json('{"n": 2.0, "order": [[0, 1], [1, 0]]}')
 
 
 def test_labeling_json_round_trip():
@@ -587,11 +651,15 @@ def test_labeling_json_span_mismatch():
 def test_labeling_json_rejects_non_integers():
     for text in ('{"labels": [1.9, 3, 5, 2, 4]}',
                  '{"labels": [true, 3, 5, 2, 4]}',
-                 '{"labels": [1.0, 3, 5, 2, 4]}',
-                 '{"labels": [3, 1, 4], "span": 4.0}',
+                 '{"labels": [1.0, 3, 5, 2, 4]}'):
+        with pytest.raises(InvalidParameterError,
+                           match="^labels must be integers$"):
+            labeling_from_json(text)
+    for text in ('{"labels": [3, 1, 4], "span": 4.0}',
                  '{"labels": [1], "span": true}',
                  '{"labels": [3, 1, 4], "span": "4"}'):
-        with pytest.raises(InvalidParameterError, match="integers"):
+        with pytest.raises(InvalidParameterError,
+                           match='^"span" must be an integer$'):
             labeling_from_json(text)
 
 
@@ -633,9 +701,21 @@ def test_json_readers_return_a_value_or_a_package_error(text):
 def test_labeling_validation():
     with pytest.raises(IncompleteLabelingError):
         Labeling(())
+    with pytest.raises(IncompleteLabelingError, match="empty"):
+        Labeling(iter([]))
     with pytest.raises(IncompleteLabelingError):
         Labeling((1, -2))
     with pytest.raises(IncompleteLabelingError):
         Labeling((True, 2))
     with pytest.raises(IncompleteLabelingError):
         check_radio(path(3), (True, 3, 2))
+
+
+def test_labeling_from_an_iterator_keeps_its_labels():
+    # validating before the tuple was made used the iterator up
+    lab = Labeling(iter([3, 1, 2]))
+    assert lab.labels == (3, 1, 2) and lab.span == 3
+    assert lab == Labeling((3, 1, 2))
+    assert check_radio(path(3), iter([3, 1, 5])) == []
+    with pytest.raises(IncompleteLabelingError):
+        Labeling(x for x in (2, 0))
