@@ -77,7 +77,7 @@ def _hamming_codes(sizes: Sequence[int]) -> tuple:
     come out in flat-index order.  With w the bit length of the largest
     coordinate, a field holds w + 1 bits or, if more, the bit length of
     the factor count, so that a field also holds any count of differing
-    coordinates (Graph._window_distances sums them a field apart).  A
+    coordinates (_packed_window sums them a field apart).  A
     field of codes[u] ^ codes[v] is non-zero exactly when the two
     coordinates differ; adding fill, w one-bits per field, carries such a
     field into its bit w and never further.  So
@@ -87,7 +87,7 @@ def _hamming_codes(sizes: Sequence[int]) -> tuple:
     w = (max(sizes) - 1).bit_length()
     field = max(w + 1, len(sizes).bit_length())
     codes, low = [0], 0
-    for size in sizes:  # folded as _materialize_product_adjacency folds
+    for size in sizes:  # folded as _forward_lists folds
         codes = [p << field | c for p in codes for c in range(size)]
         low = low << field | 1
     guard = low << w
@@ -149,7 +149,14 @@ class Graph:
     def adjacency(self) -> tuple:
         """Per-vertex frozenset of neighbors; built on demand for products."""
         if self._adjacency is None:
-            self._adjacency = self._materialize_product_adjacency()
+            # a product's: each forward edge (see _forward_lists) is
+            # added to both its ends
+            forward = _forward_lists(self)
+            nbrs = [list(above) for above in forward]
+            for u, above in enumerate(forward):
+                for w in above:
+                    nbrs[w].append(u)
+            self._adjacency = tuple(map(frozenset, nbrs))
         return self._adjacency
 
     @property
@@ -269,32 +276,31 @@ class Graph:
         at = operator.getitem  # tables[k][cu[k]][cv[k]], summed over k
         return lambda u, v: sum(map(at, map(at, tables, coords[u]), coords[v]))
 
-    def _window_distances(self, order: tuple) -> Callable[[int], Iterable[int]]:
-        """window(c) gives d(order[i], order[i + c]) for i < len(order) - c,
-        in that order, for scans of an ordering offset by offset.
+    def _window_holds(self, order: tuple) -> bool:
+        """The window criterion on a validated ordering: d(order[i],
+        order[i + c]) >= diam - c + 1 for every i and c <= diam, checked
+        offset by offset.
 
-        On a product of complete factors the ordering's codes (see
-        _hamming_codes) are packed into one int, one segment of t fields
-        per position, rounded up to whole bytes and fields.  The distances
-        at offset c then take a few big-int operations: XOR with the int
-        shifted c segments down, fill added and guard masked per segment,
-        and a multiply by one bit per field that adds each segment's t
-        flags into one byte, read out as bytes.  The multiply also leaves
-        partial counts a whole number of fields above and below that byte,
-        the highest in the next segment; where two meet they count at
-        most t flags, and t < 2^field, so nothing carries into a sum.
-        When a segment would pass 64 bits (K_2^16, K_200^2), and on every
-        other graph, window(c) maps _distance_function over the pairs.
-        Built on each call; the packed int takes at most 8 bytes per
-        vertex, 3 on K_6^5.
+        Where _packed_window gives an offset's distances as bytes, each
+        below 256, the offset holds when deleting every byte of at least
+        diam - c + 1 leaves none, a C-level pass instead of a min() over
+        one int object per distance.  Elsewhere the offset maps
+        _distance_function over its pairs and takes the min().
         """
+        diam = self.diameter()
+        window = None
         if (self._factors is not None
                 and all(f.is_complete() for f in self._factors)):
             window = _packed_window(self._sizes, order)
+        dist = self._distance_function() if window is None else None
+        for c in range(1, diam + 1):
+            need = diam - c + 1
             if window is not None:
-                return window
-        dist = self._distance_function()
-        return lambda c: map(dist, order, order[c:])
+                if window(c).translate(None, bytes(range(need, 256))):
+                    return False
+            elif min(map(dist, order, order[c:]), default=need) < need:
+                return False
+        return True
 
     def diameter(self) -> int:
         """Computed on the first call and kept: on a flat graph it is a
@@ -309,20 +315,6 @@ class Graph:
     def is_complete(self) -> bool:
         return self._n == 1 or self.diameter() == 1
 
-    def _materialize_product_adjacency(self) -> tuple:
-        # folding the factors left to right, numbering (g, h) as g|H| + h,
-        # gives each vertex the index encode_coordinates gives its tuple
-        adjacency = self._factors[0].adjacency
-        for f in self._factors[1:]:
-            h_adj = f.adjacency
-            nh = len(h_adj)
-            adjacency = tuple(
-                frozenset([x * nh + h for x in g_nbrs]
-                          + [g * nh + y for y in h_nbrs])
-                for g, g_nbrs in enumerate(adjacency)
-                for h, h_nbrs in enumerate(h_adj))
-        return adjacency
-
     def __repr__(self) -> str:
         if self._factors is not None and self._adjacency is None:
             return f"Graph(vertices={self._n}, factors={len(self._factors)})"
@@ -333,13 +325,12 @@ def _product_rows(rows: Iterable, h_table: DistanceMatrix,
                   adders: Optional[list]) -> Iterator:
     """The distance rows of G x H from G's rows and H's table, built one
     at a time as they are asked for, numbering (g, h) as g|H| + h, as
-    Graph._materialize_product_adjacency does.  Without adders the rows
-    are lists.  With adders, the translate tables that add a to every
-    byte for each a up to the product's diameter, the rows are bytes:
-    H's row shifted by each entry of G's, by C-level translates, joined.
-    A function, so that each fold stage keeps its own h_table: a
-    generator expression's inner for looks its name up only when it
-    runs."""
+    _forward_lists does.  Without adders the rows are lists.  With
+    adders, the translate tables that add a to every byte for each a up
+    to the product's diameter, the rows are bytes: H's row shifted by
+    each entry of G's, by C-level translates, joined.  A function, so
+    that each fold stage keeps its own h_table: a generator expression's
+    inner for looks its name up only when it runs."""
     if adders is None:
         return ([a + b for a in ra for b in rh]
                 for ra in rows for rh in h_table)
@@ -347,10 +338,42 @@ def _product_rows(rows: Iterable, h_table: DistanceMatrix,
             for ra in rows for rh in h_table)
 
 
+# _DIGITS[256 - k:512 - k] maps a byte d to the base-2 digit of d >= k,
+# for 0 <= k <= 256
+_DIGITS = b"0" * 256 + b"1" * 256
+# a list row's bools -> base-2 digits
+_BINARY = bytes.maketrans(b"\0\1", b"01")
+
+
+def _at_least_mask(row: Sequence[int], k: int) -> int:
+    """The int whose bit w is set iff row[w] >= k, for a row of a
+    distance table: the digit of row[w] >= k, for w from the last down
+    to 0, read in base 2.  A bytes row takes one C-level translate; a
+    list row, of a table past diameter 255, a pass over its ints."""
+    if isinstance(row, bytes):
+        return int(row[::-1].translate(_DIGITS[256 - k:512 - k]), 2)
+    return int(bytes(map(k.__le__, reversed(row))).translate(_BINARY), 2)
+
+
 def _packed_window(sizes: Sequence[int], order: tuple
                    ) -> Optional[Callable[[int], bytes]]:
-    """Graph._window_distances on a product of complete factors with
-    sizes ``sizes``, or None when a segment would pass 64 bits."""
+    """window(c), the bytes d(order[i], order[i + c]) for i < len(order)
+    - c, in that order, on a product of complete factors with sizes
+    ``sizes``; or None when a segment would pass 64 bits (K_2^16,
+    K_200^2).
+
+    The ordering's codes (see _hamming_codes) are packed into one int,
+    one segment of t fields per position, rounded up to whole bytes and
+    fields.  The distances at offset c then take a few big-int
+    operations: XOR with the int shifted c segments down, fill added and
+    guard masked per segment, and a multiply by one bit per field that
+    adds each segment's t flags into one byte, read out as bytes.  The
+    multiply also leaves partial counts a whole number of fields above
+    and below that byte, the highest in the next segment; where two meet
+    they count at most t flags, and t < 2^field, so nothing carries into
+    a sum.  Built on each call; the packed int takes at most 8 bytes per
+    vertex, 3 on K_6^5.
+    """
     codes, fill, guard, field = _hamming_codes(sizes)
     t = len(sizes)
     step = math.lcm(8, field)
@@ -814,11 +837,11 @@ def _edge_list_text(graph: Graph) -> str:
 
 def _forward_lists(graph: Graph) -> list:
     """Each vertex's neighbours above it, ascending.  A product's are
-    folded from its factors' lists two at a time, numbering (g, h) as
-    g|H| + h, as _materialize_product_adjacency does: the neighbours
-    above (g, h) are g|H| + y for each y above h in H, all below
-    (g + 1)|H|, then x|H| + h for each x above g in G, so the list comes
-    out sorted."""
+    folded from its factors' lists two at a time, left to right,
+    numbering (g, h) as g|H| + h, which gives each vertex the index
+    encode_coordinates gives its tuple: the neighbours above (g, h) are
+    g|H| + y for each y above h in H, all below (g + 1)|H|, then
+    x|H| + h for each x above g in G, so the list comes out sorted."""
     if graph._factors is None:
         return [sorted([w for w in nbrs if w > v])
                 for v, nbrs in enumerate(graph.adjacency)]

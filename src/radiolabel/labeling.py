@@ -106,7 +106,7 @@ def check_k_radio(graph: Graph, labeling: Union[Labeling, Sequence[int]],
     fail_fast takes the grouped loop, which stops at the first vertex
     with a violation; on distinct labels only once an offset has shown
     that there is one.  Neither path reads the window kernels
-    (Graph._window_distances), which this check audits.
+    (Graph._window_holds), which this check audits.
     """
     labels = _labels_of(graph, labeling)
     diam = graph.diameter()
@@ -205,7 +205,7 @@ def induced_labeling(graph: Graph, order: Sequence[int]) -> Labeling:
     """
     order = validate_ordering(graph, order)
     labels = [0] * len(order)
-    if _window_holds(graph, order):
+    if graph._window_holds(order):
         for i, v in enumerate(order, 1):
             labels[v] = i
         return Labeling(labels)
@@ -242,31 +242,11 @@ def check_consecutive_ordering(graph: Graph, order: Sequence[int]) -> bool:
     at each offset c <= diam and stops at the first offset that falls
     short.  On a product of complete factors an offset's distances come
     from a few big-int operations over the whole ordering (see
-    Graph._window_distances), elsewhere from one query per pair: O(N *
+    Graph._window_holds), elsewhere from one query per pair: O(N *
     diam) either way.  Holding is equivalent to the induced labeling
     having span |V|.
     """
-    return _window_holds(graph, validate_ordering(graph, order))
-
-
-def _window_holds(graph: Graph, order: tuple) -> bool:
-    """The window criterion on a validated ordering.  Packed distances
-    come as bytes, each below 256: the offset holds when deleting every
-    byte of at least diam - c + 1 leaves none, a C-level pass instead of
-    a min() over one int object per distance.  Mapped distances may pass
-    255 and take the min()."""
-    diam = graph.diameter()
-    window = graph._window_distances(order)
-    for c in range(1, diam + 1):
-        need = diam - c + 1
-        distances = window(c)
-        if type(distances) is bytes:
-            short = distances.translate(None, bytes(range(need, 256)))
-        else:
-            short = min(distances, default=need) < need
-        if short:
-            return False
-    return True
+    return graph._window_holds(validate_ordering(graph, order))
 
 
 # ---------------------------------------------------------------------------

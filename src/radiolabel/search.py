@@ -21,7 +21,7 @@ from operator import add
 from typing import Iterable, Iterator, Optional
 
 from .errors import InvalidParameterError
-from .graphs import Graph
+from .graphs import Graph, _at_least_mask
 from .labeling import Labeling, induced_labeling, is_consecutive
 
 EXACT = "exact"
@@ -30,10 +30,6 @@ EXHAUSTED = "exhausted-no-witness"
 TIMEOUT = "timeout"
 
 DEFAULT_TIME_BUDGET = 30.0
-
-# a wide table's row of bools -> base-2 digits
-_BINARY = bytes.maketrans(b"\0\1", b"01")
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -421,12 +417,11 @@ def find_consecutive_ordering(graph: Graph,
     The walk runs over bitsets held in Python ints, as in San Segundo,
     Rodriguez-Losada and Jimenez's bit-parallel maximum-clique search
     (Computers & Operations Research 38, 2011).  far(k, v) has bit w set
-    iff d(v, w) >= k; it is built on first use from dist[v] reversed, as
-    base-2 digits: on a table of bytes rows (diameter below 256) one
-    C-level translate of the row, on a wider table a pass over its ints.
-    It is kept for this call only, in a list of n slots made for each k
-    the walk reaches, since only the masks the walk touches are ever
-    needed (all n * diam of them would take n^2 * diam / 8 bytes).
+    iff d(v, w) >= k; it is built on first use from dist[v] (see
+    graphs._at_least_mask) and kept for this call only, in a list of n
+    slots made for each k the walk reaches, since only the masks the
+    walk touches are ever needed (all n * diam of them would take
+    n^2 * diam / 8 bytes).
     The candidates at depth d are the unused vertices in far(diam - c + 1,
     x_{d-c}) for every c <= min(diam, d).  A candidate v's onward options
     are far(diam, v) ANDed with the same window one position on, which is
@@ -448,22 +443,15 @@ def find_consecutive_ordering(graph: Graph,
     diam = graph.diameter()
     order = [0] * n
     masks = [None] * (diam + 1)  # [k][v] -> far(k, v), a list per k used
-    # at_least[k] maps a distance d to the digit of d >= k, for k <= diam
-    at_least = ([b"0" * k + b"1" * (256 - k) for k in range(diam + 1)]
-                if isinstance(dist[0], bytes) else None)
 
     def far(k: int, v: int) -> int:
-        # bit w set iff d(v, w) >= k: the digit of d(v, w) >= k, for w
-        # from n - 1 down to 0, read in base 2
+        # bit w set iff d(v, w) >= k
         at_k = masks[k]
         if at_k is None:
             at_k = masks[k] = [None] * n
         mask = at_k[v]
         if mask is None:
-            row = dist[v]
-            mask = at_k[v] = int(
-                row[::-1].translate(at_least[k]) if at_least else
-                bytes(map(k.__le__, reversed(row))).translate(_BINARY), 2)
+            mask = at_k[v] = _at_least_mask(dist[v], k)
         return mask
 
     def window(unused: int, depth: int, first: int) -> int:

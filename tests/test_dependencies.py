@@ -1,8 +1,9 @@
 """The package runs on the standard library alone, as pyproject.toml's
 empty ``dependencies`` promises; the test tools installed beside it
 would hide a stray import from every other test.  Each module also uses
-every name it imports, and each CLI flag is read by the code it is
-meant to steer, which no linter checks here."""
+every name it imports, each CLI flag is read by the code it is meant to
+steer, and only graphs knows that a distance row may be bytes, which no
+linter checks here."""
 
 import argparse
 import ast
@@ -74,6 +75,52 @@ def test_package_modules_use_every_import():
             continue
         unused = unused_imports(path.read_text(encoding="utf-8"))
         assert not unused, f"{path.name} imports {sorted(unused)} unused"
+
+
+def bytes_type_tests(source: str) -> list:
+    """Line numbers in ``source`` that test a value's type against
+    bytes: isinstance(x, bytes), also within a tuple of types, and
+    type(x) compared with bytes by is, is not, == or !=."""
+    def names_bytes(node):
+        return isinstance(node, ast.Name) and node.id == "bytes"
+
+    def is_type_call(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "type")
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            kinds = node.args[1]
+            if any(map(names_bytes, kinds.elts if isinstance(
+                    kinds, ast.Tuple) else [kinds])):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if (any(map(names_bytes, sides)) and any(map(is_type_call, sides))
+                    and all(isinstance(op, (ast.Is, ast.IsNot, ast.Eq,
+                                            ast.NotEq)) for op in node.ops)):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_bytes_type_tests_reads_every_form():
+    source = ("isinstance(a, bytes)\nisinstance(b, (list, bytes))\n"
+              "type(c) is bytes\nbytes is not type(d)\ntype(e) == bytes\n"
+              "isinstance(f, list)\ntype(g) is list\nbytes(h)\n"
+              "type(i) != bytes\n")
+    assert bytes_type_tests(source) == [1, 2, 3, 4, 5, 9]
+
+
+def test_only_graphs_knows_the_row_type():
+    # graphs stores distance rows as bytes below diameter 256 and packs
+    # windows into bytes; every other module reads them through it
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "graphs.py":
+            continue
+        found = bytes_type_tests(path.read_text(encoding="utf-8"))
+        assert not found, f"{path.name} tests for bytes on lines {found}"
 
 
 # (subcommand, dest) of flags that are parsed and deliberately ignored:

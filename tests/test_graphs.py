@@ -224,6 +224,24 @@ def test_distance_rows_are_bytes_below_diameter_256(build, row_type):
     assert g.diameter() == max(map(max, table))
 
 
+@pytest.mark.parametrize("build, rows, row_type", [
+    (lambda: cartesian_power(petersen(), 2), range(100), bytes),
+    (lambda: cartesian_power(complete(4), 3), range(64), bytes),
+    # diameter 299, with entries past 255 in the end rows
+    (lambda: path(300), (0, 1, 100, 149, 150, 298, 299), list),
+], ids=["Petersen^2", "K4^3", "P300"])
+def test_at_least_mask_sets_the_far_entries(build, rows, row_type):
+    g = build()
+    table = g.distance_matrix()
+    diam = g.diameter()
+    assert {type(table[u]) for u in rows} == {row_type}
+    for u in rows:
+        row = table[u]
+        for k in range(1, diam + 2):
+            assert graphs._at_least_mask(row, k) == sum(
+                1 << w for w, d in enumerate(row) if d >= k), (u, k)
+
+
 def test_product_table_takes_a_byte_an_entry():
     # K_4^6's 4096 lists of 4096 ints took 129 MiB; its bytes rows take 16
     g = cartesian_power(complete(4), 6)
@@ -681,22 +699,21 @@ def test_power_file_with_a_repeated_edge_is_not_a_power(base, t, reverse):
         parse_edge_list("\n".join(lines) + "\n")
 
 
-def test_recognition_builds_no_product_adjacency(monkeypatch):
-    # the candidate F^t is checked through its distance kernel, pair by
-    # parsed pair; its adjacency is materialised only when asked for
+def test_recognition_builds_no_product_adjacency():
+    # written texts take _written_power: the candidate F^t is written
+    # again from its factors' lists and compared; a leading comment
+    # sends the same text through the token path, whose candidate is
+    # checked pair by parsed pair through its distance kernel.  Neither
+    # builds the product's adjacency, nor does writing it again
     powers = [cartesian_power(complete(4), 3), cartesian_power(path(3), 3),
               cartesian_power(petersen(), 2)]
     expected = [(g.factor_sizes, format_edge_list(g)) for g in powers]
-
-    def refuse(self):
-        raise AssertionError("product adjacency materialised")
-
-    monkeypatch.setattr(Graph, "_materialize_product_adjacency", refuse)
-    parsed = [parse_edge_list(text) for _, text in expected]
-    monkeypatch.undo()
-    for again, (sizes, text) in zip(parsed, expected):
-        assert again.factor_sizes == sizes
-        assert format_edge_list(again) == text
+    for prefix in ("", "# commented\n"):
+        parsed = [parse_edge_list(prefix + text) for _, text in expected]
+        for again, (sizes, text) in zip(parsed, expected):
+            assert again.factor_sizes == sizes
+            assert format_edge_list(again) == text
+        assert all(again._adjacency is None for again in parsed)
 
 
 def test_factor_past_the_distance_cache_reads_back_flat(monkeypatch):

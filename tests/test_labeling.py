@@ -276,7 +276,7 @@ def window_orders(name, g, rng):
 
 def assert_window_bytes(g, order, offsets):
     dist = g._distance_function()
-    window = g._window_distances(order)
+    window = graphs._packed_window(g.factor_sizes, order)
     for c in offsets:
         distances = window(c)
         assert isinstance(distances, bytes), c
@@ -323,13 +323,15 @@ def test_packed_and_mapped_windows_give_the_same_verdicts(name, g,
     n = g.vertex_count
     orders = window_orders(name, g, rng)
     orders += [tuple(rng.sample(range(n), n)) for _ in range(5)]
-    assert all(isinstance(g._window_distances(order)(1), bytes)
-               for order in orders)
+    assert all(isinstance(graphs._packed_window(g.factor_sizes, order)(1),
+                          bytes) for order in orders)
     packed = [check_consecutive_ordering(g, order) for order in orders]
-    monkeypatch.setattr(graphs, "_packed_window", lambda sizes, order: None)
-    assert not isinstance(g._window_distances(orders[0])(1), bytes)
+    refused = []
+    monkeypatch.setattr(graphs, "_packed_window",
+                        lambda sizes, order: refused.append(order))
     assert [check_consecutive_ordering(g, order) for order in orders] \
         == packed == [reference_window(g, order) for order in orders]
+    assert refused == orders
     assert False in packed
     if name in ("K4^3", "K8^2"):
         assert True in packed
@@ -339,13 +341,13 @@ def test_window_kernel_offsets_past_the_ordering_are_empty():
     g = cartesian_power(complete(2), 2)
     order = (0, 3, 1, 2)
     assert_window_bytes(g, order, (3, 4, 5, 9))
-    assert g._window_distances(order)(4) == b""
+    assert graphs._packed_window(g.factor_sizes, order)(4) == b""
 
 
 def test_window_kernel_on_a_one_vertex_product():
     g = Graph._product([complete(1)] * 3)
     assert g.diameter() == 0
-    assert g._window_distances((0,))(1) == b""
+    assert graphs._packed_window(g.factor_sizes, (0,))(1) == b""
     assert check_consecutive_ordering(g, (0,))
     assert induced_labeling(g, (0,)).labels == (1,)
 
@@ -359,6 +361,25 @@ def test_window_kernel_matches_on_random_products(data, sizes):
     n = g.vertex_count
     order = tuple(data.draw(st.permutations(range(n)), label="order"))
     assert_window_bytes(g, order, range(1, n + 1))
+
+
+def test_window_past_64_bits_takes_the_mapped_distances():
+    # K_130^2: 9-bit fields, so a segment of two rounds up to 72 bits, and
+    # the window check falls back to one distance query per pair
+    g = Graph._product([complete(130)] * 2)
+    order = tuple(flat_indices(knt_ordering(130, 2), 130))
+    assert graphs._packed_window(g.factor_sizes, order) is None
+    # vertex 1 swapped to position 1, next to its neighbour 0
+    swapped = list(order)
+    j = swapped.index(1)
+    swapped[1], swapped[j] = swapped[j], swapped[1]
+    assert order[0] == 0
+    for order, holds in ((order, True), (tuple(swapped), False)):
+        assert reference_window(g, order) is holds
+        assert check_consecutive_ordering(g, order) is holds
+        labels = induced_labeling(g, order).labels
+        assert (max(labels) == g.vertex_count) is holds
+        assert check_radio(g, labels) == []
 
 
 CHECK_CORPUS = kernel_corpus() + small_corpus()
@@ -413,7 +434,7 @@ def test_radio_check_reads_no_window_kernel(monkeypatch):
         raise AssertionError("window kernel called")
 
     monkeypatch.setattr(graphs, "_packed_window", refuse)
-    monkeypatch.setattr(Graph, "_window_distances", refuse)
+    monkeypatch.setattr(Graph, "_window_holds", refuse)
     assert check_radio(g, labels) == [] == reference_k_radio(g, labels, 3)
     found = check_radio(g, swapped)
     assert found and found == reference_k_radio(g, swapped, 3)
