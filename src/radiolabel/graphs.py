@@ -265,8 +265,7 @@ class Graph:
             return lambda u, v: rows[u][v]
         if all(f.is_complete() for f in self._factors):
             # same answers as the table sum below, whose K_n tables hold
-            # only 0 and 1, but 3-5x faster: 20000 random K_5^5 pairs took
-            # about 5 ms against 16-28 ms (best of 7, 2-vCPU host)
+            # only 0 and 1, but 3-5x faster
             codes, fill, guard, _field = _hamming_codes(self._sizes)
             return lambda u, v: (((codes[u] ^ codes[v]) + fill)
                                  & guard).bit_count()
@@ -570,15 +569,6 @@ def _cut(value: object, unit: str, quote: Callable[[str], str] = str
         f"{quote(text[:_QUOTED])}... ({len(text)} {unit})")
 
 
-# a line of two ASCII-digit tokens, with its line break; a text that
-# holds nothing else but blank lines splits into the same tokens as its
-# line walk.  Each match is one line, so the check keeps no state from
-# line to line, as a whole-text (?:...)* match would on its backtracking
-# stack.  Possessive quantifiers would need Python 3.11.
-_PAIR_LINE = re.compile(r"^[ \t]*[0-9]+[ \t]+[0-9]+[ \t]*\r?$\n?",
-                        re.MULTILINE)
-
-
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text.  A token that is not an integer, or an edge
     listed twice in either orientation, is an error naming its line.
@@ -589,30 +579,20 @@ def parse_edge_list(text: str) -> Graph:
     distances sum per coordinate; any other graph, such as a relabelled
     power, comes back flat.  The edges are the same either way.
 
-    A text in the form format_edge_list writes is read back by writing
-    the candidate powers again and comparing texts (see _written_power),
-    with no tokenising.  Any other text takes the token path: the power
-    is recognised from the parsed pairs before anything is built.
-    Either way the product comes back without an adjacency: it is built
-    only if asked for.  Only a graph that is not recognised is built
-    flat from the pairs, which is where every error after the header's
-    is found.  A text of lines of two ASCII-digit tokens is tokenised by
-    one split(); any other text, such as one with a '#' comment, a sign
-    or a line of another length, goes through the line walk, which
-    names the line of its first error, and so does a text whose split
-    holds a token past int()'s digit limit.
+    One rule decides what is a power, _written_power, which compares a
+    text in the form format_edge_list writes with each candidate power
+    written again.  A text in that form is read back so, without
+    tokenising it.  Any other text is read line by line; if its pairs
+    are all in range, they are written in that form, header first, each
+    pair as u < v and the pairs sorted, and that text is tested the same
+    way.  A power comes back without an adjacency: it is built only if
+    asked for.  Only a graph that is not a power is built flat from the
+    pairs, which is where every error after the header's is found.
     """
     power = _written_power(text)
     if power is not None:
         return power
-    if _PAIR_LINE.sub("", text).strip():
-        tokens = _line_tokens(text)
-    else:
-        try:
-            tokens = list(map(int, text.split()))
-        except ValueError:  # past the digit limit: name the line
-            tokens = _line_tokens(text)
-    return _graph_from_tokens(text, tokens)
+    return _graph_from_tokens(text, _line_tokens(text))
 
 
 def _content_lines(text: str) -> Iterable[tuple]:
@@ -658,9 +638,16 @@ def _graph_from_tokens(text: str, tokens: list) -> Graph:
     if len(us) != m:
         raise InvalidParameterError(
             f"header declares {_cut(m, 'digits')} edges, found {len(us)}")
-    power = _recognise_power(n, us, vs)
-    if power is not None:
-        return power
+    if us and min(min(us), min(vs)) >= 0 and max(max(us), max(vs)) < n:
+        # one format call, which builds no string per line; the sorted
+        # pairs are dropped before _written_power writes its candidates
+        written = f"{n} {m}\n" + "%d %d\n" * m % tuple(
+            itertools.chain.from_iterable(
+                sorted(zip(map(min, us, vs), map(max, us, vs)))))
+        # a text already in that form was refused before it was tokenised
+        power = _written_power(written) if written != text else None
+        if power is not None:
+            return power
     graph = Graph(n, zip(us, vs))
     if graph.edge_count != m:  # the graph merged a repeat: name the first
         seen = set()
@@ -673,95 +660,36 @@ def _graph_from_tokens(text: str, tokens: list) -> Graph:
     return graph
 
 
-def _recognise_power(n: int, us: list, vs: list) -> Optional[Graph]:
-    """The graph on vertices 0..n-1 with edges (us[i], vs[i]) as a
-    product F^t, t >= 2, where F is its subgraph on vertices 0..m-1, if
-    F^t has exactly these edges; else None.
-
-    Each candidate of _power_candidates has as many edges as there are
-    pairs, so with each pair in range, at distance 1 in F^t (so no
-    self-loop) and no two the same unordered pair, the edge sets are
-    equal and no distance can change."""
-    if not us or min(min(us), min(vs)) < 0 or max(max(us), max(vs)) >= n:
-        return None
-    for power in _power_candidates(n, len(us), lambda m, _count: [
-            (u, v) for u, v in zip(us, vs) if u < m and v < m]):
-        dist = power._distance_function()
-        if all(map((1).__eq__, map(dist, us, vs))) and _distinct(us, vs, n):
-            return power
-    return None
-
-
-def _distinct(us: list, vs: list, n: int) -> bool:
-    """Whether no two of the pairs (us[i], vs[i]) over 0..n-1 are the same
-    unordered pair.  u + v and u * v determine {u, v} (the roots of
-    x^2 - (u + v) x + u v), and u * v < n^2, so (u + v) n^2 + u v keys
-    the unordered pair.  On the 699,840 pairs of K_6^6 this takes about
-    half the time of keys built with min and max (0.39 against 0.72 s,
-    2-vCPU host), whose calls dominate that version."""
-    keys = map(operator.add, map(operator.mul, map(operator.add, us, vs),
-                                 itertools.repeat(n * n)),
-               map(operator.mul, us, vs))
-    return len(set(keys)) == len(us)
-
-
-def _power_candidates(n: int, edge_count: int,
-                      factor_edges: Callable[[int, int], list]
-                      ) -> Iterator[Graph]:
-    """The products F^t, t >= 2, that a graph on vertices 0..n-1 with
-    ``edge_count`` edges may be: the one rule of both recognisers,
-    _written_power and _recognise_power.  The caller checks that F^t
-    has the graph's edges.
-
-    F has m vertices with m^t = n, and F^t has t * m^(t-1) * e edges,
-    e F's edge count, so edge_count must be that for a whole e >= 1.
-    factor_edges(m, e) gives F's edges, the graph's edges within
-    0..m-1; a candidate is skipped unless there are e of them and they
-    make a connected F without a loop: F^t is connected exactly when F
-    is, so no BFS runs on F^t.  The largest t is tried first, so a K_n^t
-    file gets complete factors.  A factor past DISTANCE_CACHE_LIMIT,
-    whose distances the product could not serve, leaves the graph flat.
-    The product is built without _check_size, since the graph's edges
-    are already in memory and a file that parses must not fail under a
-    small RADIOLABEL_SIZE_CAP, and without its adjacency.  Recognising a
-    relabelled product needs the linear-time factorisation of Imrich and
-    Peterin ("Recognizing Cartesian products in linear time", Discrete
-    Math. 307, 2007)."""
-    for t in range(n.bit_length() - 1, 1, -1):
-        m = round(n ** (1 / t))
-        if m ** t != n or m > DISTANCE_CACHE_LIMIT:
-            continue
-        count, rest = divmod(edge_count, t * m ** (t - 1))
-        if rest or not count:
-            continue
-        edges = factor_edges(m, count)
-        if len(edges) != count:
-            continue
-        try:
-            factor = Graph(m, edges)
-        except (DisconnectedError, SelfLoopError):
-            continue
-        yield Graph._product((factor,) * t)
-
-
 # a line of a written edge list (see _edge_list_text), the header or an
 # edge, with its line break
 _WRITTEN_LINE = re.compile(r"([0-9]+) ([0-9]+)\n")
 
 
 def _written_power(text: str) -> Optional[Graph]:
-    """The power F^t that parse_edge_list would recognise in ``text``,
-    found without tokenising it, if ``text`` is in the form that
-    format_edge_list writes; else None.
+    """The product F^t, t >= 2, that ``text`` is the edge list of, F its
+    subgraph on the first m vertices, if ``text`` is in the form
+    format_edge_list writes and F^t written again is exactly ``text``;
+    else None.  Equal texts are equal edge sets.
 
-    The text of F^t in written form is _edge_list_text of the product,
-    so each candidate of _power_candidates is written again and compared
-    with ``text``; equal texts are equal edge sets.  F's edges are read
-    from the leading lines: a written F^t lists the lines of its first
-    m vertices first, the edges of F among them.  The header must count
-    the text's edge lines and at least n - 1 edges before n ** (1 / t)
-    is taken, so a huge header integer never reaches a float root and
-    no candidate's text has more lines than ``text``."""
+    F has m vertices with m^t = n, and F^t has t * m^(t-1) * e edges, e
+    F's edge count, so the header's edge count must be that for a whole
+    e >= 1.  F's edges are read from the leading lines: a written F^t
+    lists the lines of its first m vertices first, the edges of F among
+    them.  A candidate is skipped unless there are e of them and they
+    make a connected F without a loop: F^t is connected exactly when F
+    is, so no BFS runs on F^t.  The largest t is tried first, so a K_n^t
+    file gets complete factors.  A factor past DISTANCE_CACHE_LIMIT,
+    whose distances the product could not serve, leaves the graph flat.
+
+    The header must count the text's edge lines and at least n - 1
+    edges before n ** (1 / t) is taken, so a huge header integer never
+    reaches a float root and no candidate's text has more lines than
+    ``text``.  The product is built without _check_size, since the
+    graph's edges are already in memory and a file that parses must not
+    fail under a small RADIOLABEL_SIZE_CAP, and without its adjacency.
+    Recognising a relabelled product needs the linear-time
+    factorisation of Imrich and Peterin ("Recognizing Cartesian products
+    in linear time", Discrete Math. 307, 2007)."""
     header = _WRITTEN_LINE.match(text)
     if header is None:
         return None
@@ -772,13 +700,17 @@ def _written_power(text: str) -> Optional[Graph]:
     # a written text ends each edge line and the header with a line break
     if edge_count < n - 1 or edge_count != text.count("\n") - 1:
         return None
-    start = header.end()
-
-    def leading_edges(m: int, count: int) -> list:
+    for t in range(n.bit_length() - 1, 1, -1):
+        m = round(n ** (1 / t))
+        if m ** t != n or m > DISTANCE_CACHE_LIMIT:
+            continue
+        count, rest = divmod(edge_count, t * m ** (t - 1))
+        if rest or not count:
+            continue
         # up to count edges within 0..m-1, stopping at a line of vertex
         # m or above, or at a line not in written form or not in F^t: a
         # vertex u < m has F's edges and edges to u + x m^k, k >= 1
-        edges, pos = [], start
+        edges, pos = [], header.end()
         while len(edges) < count:
             line = _WRITTEN_LINE.match(text, pos)
             if line is None:
@@ -792,9 +724,13 @@ def _written_power(text: str) -> Optional[Graph]:
             if v < m:
                 edges.append((u, v))
             pos = line.end()
-        return edges
-
-    for power in _power_candidates(n, edge_count, leading_edges):
+        if len(edges) != count:
+            continue
+        try:
+            factor = Graph(m, edges)
+        except (DisconnectedError, SelfLoopError):
+            continue
+        power = Graph._product((factor,) * t)
         if _edge_list_text(power) == text:
             return power
     return None
@@ -815,9 +751,8 @@ def _edge_list_text(graph: Graph) -> str:
     """format_edge_list's text.  A flat graph's lines come from its sorted
     edges; a product's are joined from precomputed vertex names over its
     folded forward lists (see _forward_lists), which builds no adjacency
-    and sorts no pairs: about 0.7 ms on K_7^3 against 2.3 ms through
-    edges() (median of 45, 2-vCPU shared host).  parse_edge_list calls this, not
-    format_edge_list, to read a written power back."""
+    and sorts no pairs.  _written_power calls this, not format_edge_list,
+    to write each candidate power again."""
     n = graph.vertex_count
     if graph._factors is None:
         edges = graph.edges()

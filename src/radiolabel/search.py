@@ -131,9 +131,8 @@ def exact_radio_number(graph: Graph, prune: bool = True,
     comparison of gap[w] against the room it leaves below the best span.
     The least levels are read off the vertices sorted once by level, ties
     by index: a child scans on from its parent's first unplaced position,
-    which only moves forward along a path of the walk.  The end term took
-    rn(P_14) from 3.7-5.4 s to 0.6-1.0 s (2-vCPU host), with the same
-    witness and orderings_examined.
+    which only moves forward along a path of the walk.  The end term
+    changes neither the witness nor orderings_examined.
     Every gap lies in 1..diam + 1, so below diameter 256 it is one of
     CPython's cached small ints and a vector costs one 8-byte list slot an
     entry.  At full depth the vectors take |V|^2 slots, eight times the
@@ -154,10 +153,8 @@ def exact_radio_number(graph: Graph, prune: bool = True,
     3 diam - 1 or more, past which pair is 2 (on a star, at the first
     pair of leaves).  On a cycle the pair floor of every start is the
     radio number, so once a greedy ordering reaches it every other start
-    is skipped and the walk's root is cut: C_100 is exact in about
-    0.02 s and C_300 in about 0.5 s (2-vCPU host), nearly all of it the
-    scan, where the eccentricity and level bounds alone took 1.5 s on
-    C_11 and did not settle C_16 in 20 s.
+    is skipped and the walk's root is cut, so nearly all of a cycle's
+    search is the scan.
     The walk starts with the best greedy ordering as its incumbent and
     best span one above its span, so the bounds prune from the first
     node.  The walk is lexicographic and reaches a leaf only when it
@@ -186,13 +183,11 @@ def exact_radio_number(graph: Graph, prune: bool = True,
     found so far, greedy or walked, whose span is an upper bound on the
     radio number and at most the best greedy span, or with no ordering
     if not even one greedy ordering was completed.  Three steps run past
-    it (2-vCPU host): the pruned walk's reported labeling is induced once
-    more, in O(|V| diam) (P_2000, table filled, 1-s budget: 1.5-1.6 s,
-    0.5-0.6 s of it this labeling); the twin filter builds a product's
-    adjacency the first time the walk asks for a start (about 0.05 s on
-    K_16^3, at the cache limit); and with prune=False each ordering is
-    induced in full between polls, once each (P_4096, table filled, 1-s
-    budget: 2.5-3.5 s).
+    it: the pruned walk's reported labeling is induced once more, in
+    O(|V| diam); the twin filter builds a product's adjacency, in
+    O(|V| + |E|), the first time the walk asks for a start; and with
+    prune=False each ordering is induced in full between polls, once
+    each, in O(|V| diam).
     Raises InvalidParameterError for a budget that is negative, infinite
     or NaN, and TooLargeError above the distance cache limit,
     graphs.DISTANCE_CACHE_LIMIT vertices, before any search.

@@ -1,14 +1,19 @@
 """The package runs on the standard library alone, as pyproject.toml's
 empty ``dependencies`` promises; the test tools installed beside it
 would hide a stray import from every other test.  Each module also uses
-every name it imports, each CLI flag is read by the code it is meant to
-steer, and only graphs knows that a distance row may be bytes, which no
-linter checks here."""
+every name it imports, each private module-level name is read somewhere
+in the package, each CLI flag is read by the code it is meant to steer,
+only graphs knows that a distance row may be bytes, and no comment or
+string cites a wall-clock figure or a host, which no linter checks
+here."""
 
 import argparse
 import ast
 import inspect
+import io
+import re
 import sys
+import tokenize
 from pathlib import Path
 
 import radiolabel
@@ -75,6 +80,87 @@ def test_package_modules_use_every_import():
             continue
         unused = unused_imports(path.read_text(encoding="utf-8"))
         assert not unused, f"{path.name} imports {sorted(unused)} unused"
+
+
+def unread_private_names(sources: dict) -> set:
+    """(module, name) of each private module-level function or constant
+    in ``sources``, a dict of module name to source, that no code in
+    them reads: as a name, or as an attribute of another module.  A
+    function's reads of its own name, a recursion, do not count."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = {}  # (module, name) -> the lines of its definition
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[module, name] = range(node.lineno,
+                                                  node.end_lineno + 1)
+    reads = set()  # (module, line, name)
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add((module, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                reads.add((module, node.lineno, node.attr))
+    return {(module, name) for (module, name), lines in defined.items()
+            if not any(read == name and not (where == module
+                                             and line in lines)
+                       for where, line, read in reads)}
+
+
+def test_unread_private_names_reads_every_form():
+    sources = {
+        "a": ("_A = 1\n_B = 2\n__all__ = []\nPUBLIC = 3\n"
+              "def _f():\n    return _A\n"
+              "def _loop(n):\n    return _loop(n - 1)\n"
+              "def _g():\n    pass\n_C = _D = 4\n"),
+        "b": "from . import a\nX = a._g, a._C\n",
+    }
+    assert unread_private_names(sources) == {
+        ("a", "_B"), ("a", "_f"), ("a", "_loop"), ("a", "_D")}
+
+
+def test_every_private_name_is_read():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == set()
+
+
+# a wall-clock figure, "0.5 s", "2.3 ms", "1-s budget", "40 µs", or a
+# host; a percentage or a ratio such as "3-5x" is no figure in seconds
+TIMING = re.compile(r"[0-9]\s*-?(?:s|ms|µs|us)\b|\b[Hh]osts?\b|vCPU")
+
+
+def timing_citations(source: str) -> list:
+    """(line, text) of each comment or string in ``source`` that cites a
+    wall-clock figure or a host."""
+    return [(token.start[0], token.string)
+            for token in tokenize.generate_tokens(io.StringIO(source).readline)
+            if token.type in (tokenize.COMMENT, tokenize.STRING)
+            and TIMING.search(token.string)]
+
+
+def test_timing_citations_reads_every_form():
+    source = ('x = 1  # about 0.5 s\n"""took 2.3 ms"""\n"1-s budget"\n'
+              '# 40 µs\n# 2-vCPU host\n# 3-5x faster, 20% less\n'
+              '# 64 bits, 8 bytes\ny = "0.7ms"\nz = 5  # s\n')
+    assert [line for line, _text in timing_citations(source)] == [
+        1, 2, 3, 4, 5, 8]
+
+
+def test_package_cites_no_timings():
+    # host timings go stale with each change to the path they measure;
+    # they are kept in ROADMAP.md and CHANGES.md, beside their dates
+    for path in sorted(PACKAGE.glob("*.py")):
+        found = timing_citations(path.read_text(encoding="utf-8"))
+        assert not found, f"{path.name} cites timings: {found}"
 
 
 def bytes_type_tests(source: str) -> list:

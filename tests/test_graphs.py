@@ -702,9 +702,9 @@ def test_power_file_with_a_repeated_edge_is_not_a_power(base, t, reverse):
 def test_recognition_builds_no_product_adjacency():
     # written texts take _written_power: the candidate F^t is written
     # again from its factors' lists and compared; a leading comment
-    # sends the same text through the token path, whose candidate is
-    # checked pair by parsed pair through its distance kernel.  Neither
-    # builds the product's adjacency, nor does writing it again
+    # sends the same text through the token path, whose pairs are
+    # written in that form and compared the same way.  Neither builds
+    # the product's adjacency, nor does writing it again
     powers = [cartesian_power(complete(4), 3), cartesian_power(path(3), 3),
               cartesian_power(petersen(), 2)]
     expected = [(g.factor_sizes, format_edge_list(g)) for g in powers]
@@ -750,12 +750,10 @@ def altered_powers(draw):
     return n, edges
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(altered_powers())
-def test_only_exact_powers_are_recognised(case):
-    n, edges = case
-    g = parse_edge_list(counted_edge_list(n, edges))
-    wanted = {(min(e), max(e)) for e in edges}
+def check_recognition(g, n: int, pairs: list) -> None:
+    """g, parsed from the pairs on n vertices, has their edges, and is a
+    product F^t exactly when they are F^t for F on the first vertices."""
+    wanted = {(min(e), max(e)) for e in pairs}
     assert set(g.edges()) == wanted
     if g.factors is None:
         assert not is_power_of_prefix(n, wanted)
@@ -766,8 +764,15 @@ def test_only_exact_powers_are_recognised(case):
         assert power_edges(factor.edges(), sizes[0], len(sizes)) == wanted
 
 
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(altered_powers())
+def test_only_exact_powers_are_recognised(case):
+    n, edges = case
+    check_recognition(parse_edge_list(counted_edge_list(n, edges)), n, edges)
+
+
 # ---------------------------------------------------------------------------
-# the one-split tokeniser against the line walk
+# the written shortcut against the token path
 # ---------------------------------------------------------------------------
 
 def parse_outcome(parse, text):
@@ -778,8 +783,9 @@ def parse_outcome(parse, text):
     return g.vertex_count, g.edges(), g.factor_sizes
 
 
-def parse_by_line_walk(text):
-    """parse_edge_list with every text tokenised line by line."""
+def parse_by_tokens(text):
+    """parse_edge_list without the written shortcut: every text tokenised
+    line by line."""
     return graphs._graph_from_tokens(text, graphs._line_tokens(text))
 
 
@@ -849,17 +855,31 @@ def mutated_power_files(draw):
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(EDGE_TEXTS)
-def test_one_split_tokeniser_parses_like_the_line_walk(text):
+def test_written_shortcut_parses_like_the_token_path(text):
     # same graph, factorisation and error, message and line included
     assert (parse_outcome(parse_edge_list, text)
-            == parse_outcome(parse_by_line_walk, text))
+            == parse_outcome(parse_by_tokens, text))
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(mutated_power_files())
-def test_one_split_tokeniser_reads_power_files_like_the_line_walk(text):
+def test_written_shortcut_reads_power_files_like_the_token_path(text):
     assert (parse_outcome(parse_edge_list, text)
-            == parse_outcome(parse_by_line_walk, text))
+            == parse_outcome(parse_by_tokens, text))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(mutated_power_files())
+def test_only_exact_power_files_are_recognised(text):
+    # both sides above read powers through _written_power; this oracle
+    # does not.  A file without '#' that parses splits into the tokens
+    # of its line walk
+    try:
+        g = parse_edge_list(text)
+    except RadioLabelError:
+        return
+    n, _m, *tokens = map(int, text.split())
+    check_recognition(g, n, list(zip(tokens[::2], tokens[1::2])))
 
 
 def test_three_and_one_token_lines_name_their_line():
@@ -930,7 +950,7 @@ def test_written_powers_are_read_back_without_tokenising(monkeypatch, name):
     def refuse(*args):
         raise AssertionError("token path on a written power")
 
-    monkeypatch.setattr(graphs, "_recognise_power", refuse)
+    monkeypatch.setattr(graphs, "_line_tokens", refuse)
     again = parse_edge_list(text)
     monkeypatch.undo()
     assert again.factor_sizes == power.factor_sizes
@@ -948,15 +968,27 @@ def test_powers_out_of_written_form_take_the_token_path(monkeypatch, name,
     else:
         u, v = lines[1].split()
         lines[1] = f"{v} {u}"
-    recognise, calls = graphs._recognise_power, []
+    text = "\n".join(lines) + "\n"
+    tokenise, written_power = graphs._line_tokens, graphs._written_power
+    tokenised, tested = [], []
 
-    def spy(*args):
-        calls.append(args)
-        return recognise(*args)
+    def tokenise_spy(text):
+        tokenised.append(text)
+        return tokenise(text)
 
-    monkeypatch.setattr(graphs, "_recognise_power", spy)
-    again = parse_edge_list("\n".join(lines) + "\n")
-    assert calls
+    def written_power_spy(text):
+        tested.append((text, written_power(text)))
+        return tested[-1][1]
+
+    monkeypatch.setattr(graphs, "_line_tokens", tokenise_spy)
+    monkeypatch.setattr(graphs, "_written_power", written_power_spy)
+    again = parse_edge_list(text)
+    # refused as written, tokenised, then read back from its pairs
+    # written in that form
+    assert tokenised == [text]
+    assert [(t, p is None) for t, p in tested] == [
+        (text, True), (format_edge_list(power), False)]
+    assert tested[-1][1] is again
     assert again.factor_sizes == power.factor_sizes
     assert again.edges() == power.edges()
 
