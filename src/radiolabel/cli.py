@@ -127,9 +127,7 @@ def _cmd_verify(args) -> int:
         payload = {
             "k": k,
             "valid": not violations,
-            "violations": [
-                {"u": w.u, "v": w.v, "required_gap": w.required_gap,
-                 "actual_gap": w.actual_gap} for w in violations],
+            "violations": [w._asdict() for w in violations],
         }
         _emit(json.dumps(payload, indent=2) + "\n", None)
     elif violations:

@@ -12,10 +12,9 @@ from __future__ import annotations
 import json
 import os
 from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass
-from operator import add, attrgetter, sub
-from typing import Optional, Sequence, TextIO, Union
+from operator import add, sub
+from typing import NamedTuple, Optional, Sequence, TextIO, Union
 
 from .errors import (
     IncompleteLabelingError,
@@ -50,9 +49,10 @@ class Labeling:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class Violation:
-    """A pair whose label gap falls short of the radio requirement."""
+class Violation(NamedTuple):
+    """A pair u < v whose label gap falls short of the radio requirement.
+
+    A plain tuple in field order, so violations sort in (u, v) order."""
 
     u: int
     v: int
@@ -125,12 +125,10 @@ def _offset_violations(labels: tuple, k: int, dist,
     """Violations among distinct labels, one offset c of the label order
     at a time: order[i] and order[i + c] differ by gap s[i + c] - s[i],
     and violate iff d + gap <= k.  None when fail_fast meets the first
-    violating offset.  Violations are kept per lower vertex and each list
-    sorted by v, as the grouped loop does, which is faster than one sort
-    of them all by (u, v)."""
+    violating offset."""
     order = sorted(range(len(labels)), key=labels.__getitem__)
     s = sorted(labels)
-    rows = defaultdict(list)  # lower vertex -> its violations
+    violations = []
     for c in range(1, min(k, len(s))):
         gaps = list(map(sub, s[c:], s))
         if min(gaps) >= k:
@@ -142,14 +140,9 @@ def _offset_violations(labels: tuple, k: int, dist,
             return None
         for u, v, d, gap in zip(order, order[c:], distances, gaps):
             if d + gap <= k:
-                if u < v:
-                    rows[u].append(Violation(u, v, k + 1 - d, gap))
-                else:
-                    rows[v].append(Violation(v, u, k + 1 - d, gap))
-    violations = []
-    by_v = attrgetter("v")
-    for u in sorted(rows):
-        violations += sorted(rows[u], key=by_v)
+                u, v = (u, v) if u < v else (v, u)
+                violations.append(Violation(u, v, k + 1 - d, gap))
+    violations.sort()
     return violations
 
 
@@ -173,7 +166,7 @@ def _bucket_violations(labels: tuple, k: int, dist, fail_fast: bool) -> list:
                 if d < reach:
                     found.append(Violation(u, v, k + 1 - d, gap))
         if found:
-            found.sort(key=attrgetter("v"))
+            found.sort()
             if fail_fast:
                 return found[:1]
             violations += found

@@ -88,106 +88,42 @@ def exact_radio_number(graph: Graph, prune: bool = True,
                        ) -> SearchResult:
     """Minimum span over every ordering-induced radio labeling.
 
-    The pruned walk cuts a partial ordering once its last label plus a
-    lower bound on the cost of the unplaced vertices reaches the best known
-    span; the bound is the largest of three.  Each step from u to the next
-    vertex w raises the label by at least diam + 1 - d(u, w), and by at
-    least 1.
-    - Eccentricity bound: d(u, w) <= ecc(w), so the sum of
-      max(1, diam + 1 - ecc(w)) over the unplaced w.
-    - Level bound: fix a centre c, the vertex of least total distance
-      (lowest index on ties), and let L(x) = d(c, x).  By the triangle
-      inequality through c, d(u, w) <= L(u) + L(w).  Summed over the
-      r >= 1 steps after the last placed vertex v, the rest costs at
-      least r(diam + 1) - L(v) - 2 * (sum of L(w) over the unplaced w) +
-      L(z), z the last vertex of the ordering: each unplaced vertex is an
-      end of at most two of those steps, v and z of one.  The end term
-      L(z) is at least m, the least level of the unplaced vertices.
-    - Pair bound: two consecutive steps x, y, z raise the label by at
-      least 2(diam + 1) - d(x, y) - d(y, z), and by at least diam + 1 -
-      d(x, z), since the labeling is radio; so by at least pair =
-      max(2, ceil((3(diam + 1) - T) / 2)), where T is the largest
-      d(a, b) + d(b, c) + d(a, c) over the vertex triples, and r more
-      steps cost at least tail[r] = (r // 2) * pair + r % 2.  On C_n,
-      T = n.
-    The eccentricity argument is the one Liu and Zhu use for paths and
-    cycles, the level sum the one they use for paths, and the triple sum
-    the one they use for cycles ("Multilevel distance labelings for paths
-    and cycles", SIAM J. Discrete Math. 19, 2005); Liu uses the level sum
-    for trees ("Radio number for trees", Discrete Math. 308, 2008), and
-    Das, Ghosh, Nandi and Sen generalise the triple sum ("A lower bound
-    technique for radio k-coloring", Discrete Math. 340, 2017).  Each node
-    of the walk carries the eccentricity and level bounds (the pair bound
-    depends on the depth alone), the unplaced vertex of least level and
-    the next least level, its last label and a gap vector: w placed
-    next takes that label plus gap[w], where the label w takes is the
-    maximum over the placed p of label(p) + diam + 1 - d(w, p), and 1 at
-    the root (last label 0, every gap 1).  The last placed vertex's term
-    alone exceeds its label, since d <= diam, and a term from more than
-    diam positions back never decides the label (see induced_labeling), so
-    this is w's induced label.  Once v is placed, the child's gaps are
-    max(gap[w] - gap[v], diam + 1 - d(v, w)), one pass over v's row, and
-    each candidate's label is one read; each bound then cuts w with one
-    comparison of gap[w] against the room it leaves below the best span.
-    The least levels are read off the vertices sorted once by level, ties
-    by index: a child scans on from its parent's first unplaced position,
-    which only moves forward along a path of the walk.  The end term
-    changes neither the witness nor orderings_examined.
-    Every gap lies in 1..diam + 1, so below diameter 256 it is one of
-    CPython's cached small ints and a vector costs one 8-byte list slot an
-    entry.  At full depth the vectors take |V|^2 slots, eight times the
-    distance table's bytes rows: on the 4096 vertices of star(4095) the
-    walk's tracemalloc peak is 130 MiB, beside the table's 16 MiB.  Above
-    diameter 255 the table keeps lists of ints, as large as the vectors,
-    and an entry may also hold its own int object, up to about 40 bytes.
+    Returns EXACT with the lexicographically first optimal ordering, its
+    labeling and span, and in orderings_examined the walk's leaves, at
+    least 1.  Returns TIMEOUT with the best ordering found so far, whose
+    span is an upper bound on the radio number, or with no ordering if
+    not even one greedy ordering was completed.  With prune=False every
+    ordering is induced in turn, with no bound, greedy ordering or start
+    filter: the cross-check oracle.
 
-    Before the walk, a greedy ordering is built from each start vertex:
-    it repeatedly appends the unplaced vertex of least induced label,
-    ties to the lowest index, in O(|V|^2) per start.  A start whose
-    bounds at the first position already reach the best greedy span so
-    far is skipped, since its greedy ordering cannot be strictly better.
-    T is found after the first greedy ordering and before the others, so
-    a budget that ends in its scan still reports an upper bound.  The
-    scan takes O(|V|^3), one C-level pass over two rows per vertex pair,
-    polls the deadline once per row, and stops at the first triple of
-    3 diam - 1 or more, past which pair is 2 (on a star, at the first
-    pair of leaves).  On a cycle the pair floor of every start is the
-    radio number, so once a greedy ordering reaches it every other start
-    is skipped and the walk's root is cut, so nearly all of a cycle's
-    search is the scan.
-    The walk starts with the best greedy ordering as its incumbent and
-    best span one above its span, so the bounds prune from the first
-    node.  The walk is lexicographic and reaches a leaf only when it
-    strictly improves the best span, so it still reaches the
-    lexicographically first optimum, even when a greedy ordering is
-    optimal too, and the witness and orderings_examined are those of
-    any other admissible bound seeded the same way.  orderings_examined
-    counts the leaves the walk reached, not the greedy orderings; it is
-    at least 1 on every exact result.  With prune=False the search
-    degenerates to plain enumeration of all |V|! orderings through the
-    labeling module, kept as the cross-check oracle; it builds no
-    greedy ordering.
+    The walk cuts a partial ordering once its last label plus a lower
+    bound on the r unplaced vertices reaches the best span.  The bound
+    is the largest of three:
+    - the sum of max(1, diam + 1 - ecc(w)) over the unplaced w (Liu and
+      Zhu, "Multilevel distance labelings for paths and cycles", SIAM J.
+      Discrete Math. 19, 2005);
+    - r(diam + 1) - L(v) - 2 * (sum of L(w) over the unplaced w) + m,
+      for L the distance from a centre, v the last placed vertex and m
+      the least L(w) (Liu and Zhu for paths; Liu, "Radio number for
+      trees", Discrete Math. 308, 2008);
+    - (r // 2) * pair + r % 2, for pair = max(2, ceil((3(diam + 1) -
+      T) / 2)) and T the largest d(a, b) + d(b, c) + d(a, c) over the
+      vertex triples (Liu and Zhu for cycles; Das, Ghosh, Nandi and Sen,
+      "A lower bound technique for radio k-coloring", Discrete Math.
+      340, 2017).
+    It starts from the best greedy ordering and skips each start with a
+    smaller twin (see _first_vertex_representatives).  The README
+    derives the bounds and describes the walk.
 
-    The walk skips, at the first position, each twin of a smaller start
-    (see _first_vertex_representatives).  Swapping the two carries the
-    twin's orderings onto its smaller twin's, walked before it, so span,
-    witness, labels and orderings_examined are those of the walk from
-    every start.  With prune=False no start is skipped, so the oracle
-    stays independent of the filter.
-
-    The time budget, which starts on entry, is the only bound on running
-    time: it also bounds the greedy orderings, the triple scan and the
-    filling of the distance table, flat or product, and it is polled once
-    more before the O(|V|^2) scans of a table already in hand.
-    Once it runs out the search returns timeout with the best ordering
-    found so far, greedy or walked, whose span is an upper bound on the
-    radio number and at most the best greedy span, or with no ordering
-    if not even one greedy ordering was completed.  Three steps run past
-    it: the pruned walk's reported labeling is induced once more, in
+    The time budget starts on entry and is the only bound on running
+    time: it bounds the filling of the distance table, the greedy
+    orderings, the triple scan and the walk.  Three steps run past it:
+    the pruned walk's reported labeling is induced once more, in
     O(|V| diam); the twin filter builds a product's adjacency, in
     O(|V| + |E|), the first time the walk asks for a start; and with
-    prune=False each ordering is induced in full between polls, once
-    each, in O(|V| diam).
+    prune=False each ordering is induced in full between polls, in
+    O(|V| diam).  Memory is O(|V|^2) beside the table: the gap vectors
+    of the walk's path, one list slot an entry at full depth.
     Raises InvalidParameterError for a budget that is negative, infinite
     or NaN, and TooLargeError above the distance cache limit,
     graphs.DISTANCE_CACHE_LIMIT vertices, before any search.

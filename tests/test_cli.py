@@ -129,6 +129,37 @@ def test_verify_invalid_exits_one(capsys, tmp_path):
     assert json.loads(out)["valid"] is False
 
 
+def test_verify_json_lists_violations_byte_for_byte(capsys, tmp_path):
+    # sorted by label the vertices are 2, 1, 0, so both violating pairs
+    # are found higher vertex first; each is reported as u < v, with the
+    # keys in field order
+    p3 = write(tmp_path, "p3.txt", "3 2\n0 1\n1 2\n")
+    bad = write(tmp_path, "bad.json", '{"labels": [3, 2, 1]}\n')
+    code, out, _ = run(capsys, "verify", p3, bad, "--format", "json",
+                       "--all-violations")
+    assert code == 1
+    assert out == """\
+{
+  "k": 2,
+  "valid": false,
+  "violations": [
+    {
+      "u": 0,
+      "v": 1,
+      "required_gap": 2,
+      "actual_gap": 1
+    },
+    {
+      "u": 1,
+      "v": 2,
+      "required_gap": 2,
+      "actual_gap": 1
+    }
+  ]
+}
+"""
+
+
 def test_verify_with_k_flag(capsys, tmp_path):
     p3 = write(tmp_path, "p3.txt", "3 2\n0 1\n1 2\n")
     lab = write(tmp_path, "lab.json", '{"labels": [1, 2, 3]}\n')

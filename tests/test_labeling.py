@@ -243,7 +243,8 @@ def test_checks_agree_with_per_call_distance_loops():
         for labels in labelings:
             for k in range(1, max(g.diameter(), 1) + 1):
                 for fail_fast in (False, True):
-                    assert check_k_radio(g, labels, k, fail_fast) == \
+                    found = check_k_radio(g, labels, k, fail_fast)
+                    assert found == sorted(found) == \
                         reference_k_radio(g, labels, k, fail_fast), (name, k)
     assert windows == {True, False}
 
@@ -405,20 +406,26 @@ def test_k_radio_agrees_with_pairwise_scan(name, g, data):
     for labels in (labels, consecutive, spread):
         for k in range(1, max(g.diameter(), 1) + 1):
             for fail_fast in (False, True):
-                assert check_k_radio(g, labels, k, fail_fast) == \
+                found = check_k_radio(g, labels, k, fail_fast)
+                assert found == sorted(found) == \
                     reference_k_radio(g, labels, k, fail_fast), (name, k)
 
 
 def test_violations_name_the_lower_vertex_first():
     # sorted by label the P_4 vertices are 2, 3, 1, 0: at offset 1 the
     # pairs (3, 1) and (1, 0) put the higher vertex first, and offset 2
-    # finds (1, 2) after offset 1 found (1, 3)
+    # finds (1, 2) after offset 1 found (1, 3).  A Violation is a named
+    # tuple in field order, so the report equals, sorts and hashes as
+    # plain tuples do
     labels = (4, 3, 1, 2)
+    report = check_radio(path(4), labels)
+    plain = [(0, 1, 3, 1), (1, 2, 3, 2), (1, 3, 2, 1), (2, 3, 3, 1)]
     assert [(w.u, w.v, w.required_gap, w.actual_gap)
-            for w in check_radio(path(4), labels)] == [
-        (0, 1, 3, 1), (1, 2, 3, 2), (1, 3, 2, 1), (2, 3, 3, 1)]
+            for w in report] == plain
+    assert report == plain == sorted(report)
+    assert set(report) == set(plain)
     assert check_radio(path(4), labels, fail_fast=True) == \
-        [Violation(0, 1, 3, 1)]
+        [Violation(0, 1, 3, 1)] == [(0, 1, 3, 1)]
 
 
 def test_radio_check_reads_no_window_kernel(monkeypatch):
