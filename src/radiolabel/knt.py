@@ -50,13 +50,15 @@ def _shift_column(k: int, n: int, t: int) -> int:
 def knt_ordering_matrix(n: int, t: int) -> list:
     """The ordering via the shift-matrix description: each row of the
     first-row matrix expands to its group of n rows.  Row i of a group
-    shifts every entry e of the first row to (e + i) mod n, so the group
-    is the transpose of the rows rot[e] = (e, e + 1, ..., e + n - 1) mod n
-    of its first row's entries."""
+    shifts every entry e of the first row to (e + i) mod n, the entry
+    rot[e][i] of rot[e] = (e, e + 1, ..., e + n - 1) mod n.  So column j
+    of the ordering is the rot[e] of column j's first-row entries e, one
+    after another, and the ordering is the transpose of its t columns:
+    O(n^t t) time and memory."""
     rows = first_row_matrix(n, t).rows  # validates n and t first
     rot = [tuple((e + i) % n for i in range(n)) for e in range(n)]
-    return [row for first in rows
-            for row in zip(*map(rot.__getitem__, first))]
+    return list(zip(*[itertools.chain.from_iterable(
+        map(rot.__getitem__, column)) for column in zip(*rows)]))
 
 
 def knt_ordering_recursive(n: int, t: int) -> list:

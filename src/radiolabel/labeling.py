@@ -37,8 +37,9 @@ class Labeling:
         object.__setattr__(self, "labels", labels)
         if not labels:
             raise IncompleteLabelingError("labeling is empty")
-        # type(x) is int also turns away bools
-        if any(type(x) is not int or x < 1 for x in labels):
+        # exact ints only, so bools are turned away; the type test comes
+        # first, so min never compares mixed types
+        if not {int}.issuperset(map(type, labels)) or min(labels) < 1:
             raise IncompleteLabelingError("labels must be positive integers")
 
     @property
@@ -247,7 +248,7 @@ def check_consecutive_ordering(graph: Graph, order: Sequence[int]) -> bool:
 
 def _json_ints(values: list, what: str) -> list:
     """The values, insisting each is a JSON integer: 1.9 and true are not."""
-    if any(type(x) is not int for x in values):
+    if not {int}.issuperset(map(type, values)):
         raise InvalidParameterError(f"{what} must be integers")
     return values
 

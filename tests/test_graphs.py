@@ -451,6 +451,35 @@ def test_product_adjacency_follows_the_coordinate_codec():
             assert g.adjacency[u] == expected, (name, u)
 
 
+def one_level_hamming_codes(sizes):
+    """_hamming_codes as one fold over every factor: the oracle of the
+    fold in halves."""
+    w = (max(sizes) - 1).bit_length()
+    field = max(w + 1, len(sizes).bit_length())
+    codes, low = [0], 0
+    for size in sizes:
+        codes = [p << field | c for p in codes for c in range(size)]
+        low = low << field | 1
+    guard = low << w
+    return codes, guard - low, guard, field
+
+
+def test_hamming_codes_in_halves_match_one_fold():
+    complete_products = [g for _name, g in kernel_corpus()
+                         if g.factors is not None
+                         and all(f.is_complete() for f in g.factors)]
+    assert {g.factor_sizes for g in complete_products} >= {
+        (2,) * 5, (8, 8), (8, 1, 2)}
+    rng = random.Random(33)
+    drawn = [tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 6)))
+             for _ in range(600)]
+    # t = 1 leaves the high half empty
+    assert any(len(sizes) == 1 for sizes in drawn)
+    for sizes in [g.factor_sizes for g in complete_products] + drawn:
+        assert graphs._hamming_codes(sizes) == one_level_hamming_codes(
+            sizes), sizes
+
+
 def test_named_builders_honour_the_size_cap(monkeypatch):
     monkeypatch.setenv("RADIOLABEL_SIZE_CAP", "100")
     assert path(100).vertex_count == 100

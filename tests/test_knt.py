@@ -57,7 +57,8 @@ def test_recursion_spot_values():
 
 
 def test_methods_agree_on_grid():
-    for n, t in GRID + [(6, 4)]:
+    # the grid and every shape the knt-power benchmark times
+    for n, t in GRID + [(6, 4), (7, 4), (5, 5), (8, 4), (6, 5)]:
         assert knt_ordering_matrix(n, t) == knt_ordering_recursive(n, t), (n, t)
 
 

@@ -1,3 +1,4 @@
+import enum
 import json
 import math
 import random
@@ -35,7 +36,7 @@ from radiolabel import (
     path,
     petersen,
 )
-from radiolabel import graphs
+from radiolabel import graphs, labeling
 from radiolabel.labeling import (
     labeling_from_json,
     labeling_to_json,
@@ -689,6 +690,63 @@ def test_labeling_json_rejects_non_integers():
         with pytest.raises(InvalidParameterError,
                            match='^"span" must be an integer$'):
             labeling_from_json(text)
+
+
+class Level(enum.IntEnum):
+    ONE = 1
+
+
+def test_long_labelings_reject_a_late_bad_label():
+    # 7776 labels (K_6^5), one bad value near the end: the C-level type
+    # test rejects what a per-label generator rejected, with its message
+    for bad in (True, 2.0, 0, Level.ONE, -4, "3", None):
+        labels = list(range(1, 7777))
+        labels[7770] = bad
+        with pytest.raises(IncompleteLabelingError,
+                           match="^labels must be positive integers$"):
+            Labeling(labels)
+        with pytest.raises(IncompleteLabelingError,
+                           match="^labels must be positive integers$"):
+            Labeling(iter(labels))
+    for bad, error, message in (
+            ("true", InvalidParameterError, "labels must be integers"),
+            ("2.0", InvalidParameterError, "labels must be integers"),
+            ("0", IncompleteLabelingError, "labels must be positive integers")):
+        text = ('{"labels": [' + ", ".join(map(str, range(1, 7771))) + ", "
+                + bad + ", " + ", ".join(map(str, range(7772, 7777))) + "]}")
+        with pytest.raises(error, match=f"^{message}$"):
+            labeling_from_json(text)
+    # JSON text cannot carry an IntEnum member; the reader's check can
+    # still be handed one
+    labels = list(range(1, 7777))
+    labels[7770] = Level.ONE
+    with pytest.raises(InvalidParameterError,
+                       match="^labels must be integers$"):
+        labeling._json_ints(labels, "labels")
+    assert Labeling(range(1, 7777)).labels[-1] == 7776
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2, 5) | st.booleans() | st.floats(-2, 5)
+                | st.sampled_from((Level.ONE, "1", None)),
+                min_size=1, max_size=12))
+def test_label_checks_reject_what_a_per_label_test_rejects(values):
+    def positive(x):
+        return type(x) is int and x >= 1
+    try:
+        Labeling(values)
+    except IncompleteLabelingError as exc:
+        assert str(exc) == "labels must be positive integers"
+        assert not all(map(positive, values))
+    else:
+        assert all(map(positive, values))
+    try:
+        labeling._json_ints(values, "labels")
+    except InvalidParameterError as exc:
+        assert str(exc) == "labels must be integers"
+        assert any(type(x) is not int for x in values)
+    else:
+        assert all(type(x) is int for x in values)
 
 
 JSON_KEYS = st.sampled_from(("order", "labels", "span", "n", "graph"))
