@@ -10,9 +10,11 @@ the span is at least the vertex count, and a labeling hitting exactly
 from __future__ import annotations
 
 import json
+import operator
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from operator import add, sub
 from typing import NamedTuple, Optional, Sequence, TextIO, Union
 
@@ -85,11 +87,18 @@ def check_k_radio(graph: Graph, labeling: Union[Labeling, Sequence[int]],
     """All pairs violating |f(u)-f(v)| >= k + 1 - d(u,v); empty means valid.
 
     Violations come in (u, v) order with u < v, and with fail_fast only
-    the first of them is returned.  Since d(u, v) >= 1, a pair whose
-    labels differ by k or more always passes, so only pairs whose labels
-    differ by less than k are tested, along one of two paths.
+    the first of them is returned.  k must be an integer (an int
+    subclass will do).  Since d(u, v) >= 1, a pair whose labels differ
+    by k or more always passes, so only pairs whose labels differ by
+    less than k are tested, along one of three paths.
 
-    Distinct labels, as every radio labeling at k = diam has: the
+    k = 1, where the condition is a proper colouring: the violations are
+    the edges whose ends share a label, read from each vertex's higher
+    neighbours (graphs._forward_lists), O(|E|) work.  This path computes
+    no diameter and no distance, so it answers past
+    DISTANCE_CACHE_LIMIT too, and it builds no product adjacency.
+
+    Distinct labels at k >= 2, which every radio labeling has: the
     vertices are sorted by label once, and the pairs c places apart in
     that order are tested together for c = 1, 2, ...  Their gaps are at
     least c and never shrink as c grows, so the scan stops at the first
@@ -97,19 +106,27 @@ def check_k_radio(graph: Graph, labeling: Union[Labeling, Sequence[int]],
     vertices, each offset's distances and gaps taken in C-level passes,
     and a Python loop only over an offset that holds a violation.
 
-    Repeated labels (a colouring at k < diam): the vertices are grouped
-    by label and each probes the 2k - 1 labels around its own,
-    O(N log N + N k m) work for at most m vertices sharing one label.
-    An offset scan there tests pairs across equal labels and pays its
-    per-offset passes for each, about three times the grouped loop's
-    time on the k = 1 colouring of K_5^4.
+    Repeated labels at 2 <= k < diam: the vertices are grouped by label
+    and each probes the 2k - 1 labels around its own, O(N log N + N k m)
+    work for at most m vertices sharing one label.  An offset scan there
+    would test pairs across equal labels and pay its per-offset passes
+    for each.
 
-    fail_fast takes the grouped loop, which stops at the first vertex
-    with a violation; on distinct labels only once an offset has shown
-    that there is one.  Neither path reads the window kernels
-    (Graph._window_holds), which this check audits.
+    At k >= 2 fail_fast takes the grouped loop, which stops at the first
+    vertex with a violation; on distinct labels only once an offset has
+    shown that there is one.  At k = 1 it stops at the first violating
+    edge, but only after the whole neighbour fold is built.  No path
+    reads the window kernels (Graph._window_holds), which this check
+    audits.
     """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise InvalidParameterError(
+            f"k must be an integer, not {type(k).__name__}") from None
     labels = _labels_of(graph, labeling)
+    if k == 1:
+        return _edge_violations(graph, labels, fail_fast)
     diam = graph.diameter()
     if not 1 <= k <= max(diam, 1):
         raise KOutOfRangeError(f"k={k} not in [1, {max(diam, 1)}]")
@@ -119,6 +136,15 @@ def check_k_radio(graph: Graph, labeling: Union[Labeling, Sequence[int]],
         if violations is not None:
             return violations
     return _bucket_violations(labels, k, dist, fail_fast)
+
+
+def _edge_violations(graph: Graph, labels: tuple, fail_fast: bool) -> list:
+    """Violations at k = 1: the edges u < v with f(u) = f(v), in (u, v)
+    order, since each vertex's higher neighbours come ascending."""
+    found = (Violation(u, v, 1, 0)
+             for u, above in enumerate(graphs._forward_lists(graph))
+             for v in above if labels[v] == labels[u])
+    return list(islice(found, 1)) if fail_fast else list(found)
 
 
 def _offset_violations(labels: tuple, k: int, dist,

@@ -167,6 +167,22 @@ def test_verify_with_k_flag(capsys, tmp_path):
     assert code == 0 and out.startswith("valid")
 
 
+def test_verify_k1_past_the_distance_cache(capsys, tmp_path):
+    # a colouring of P_5000 is checked edge by edge, with no all-pairs
+    # table, which 5000 vertices would exceed
+    code, out, _ = run(capsys, "builtin", "path", "--n", "5000")
+    p = write(tmp_path, "p5000.txt", out)
+    labels = [1 + v % 2 for v in range(5000)]
+    good = write(tmp_path, "good.json", json.dumps({"labels": labels}))
+    assert run(capsys, "verify", p, good, "--k", "1") == \
+        (0, "valid for k=1, span 2\n", "")
+    labels[4999] = labels[4998]
+    bad = write(tmp_path, "bad.json", json.dumps({"labels": labels}))
+    assert run(capsys, "verify", p, bad, "--k", "1", "--all-violations") \
+        == (1, "invalid for k=1: 1 violation(s)\n"
+               "  (4998, 4999) gap 0 < required 1\n", "")
+
+
 def test_radio_number_table_and_json(capsys, tmp_path):
     c4 = write(tmp_path, "c4.txt", "4 4\n0 1\n0 3\n1 2\n2 3\n")
     code, out, _ = run(capsys, "radio-number", c4)

@@ -145,6 +145,23 @@ def test_k_out_of_range():
         check_k_radio(path(3), (1, 2, 3), 3)
 
 
+def test_k_must_be_an_integer():
+    # 1.0 must not slip onto the k = 1 edge scan, nor 2.0 into range()
+    g = path(3)
+    for k in (1.0, 2.0, "1"):
+        with pytest.raises(InvalidParameterError, match="^k must be an "
+                           "integer, not (float|str)$"):
+            check_k_radio(g, (1, 2, 3), k)
+
+    class Level(int):
+        pass
+
+    assert check_k_radio(g, (1, 1, 2), 1) == [Violation(0, 1, 1, 0)]
+    assert check_k_radio(g, (1, 1, 2), Level(1)) == [Violation(0, 1, 1, 0)]
+    assert check_k_radio(g, (1, 2, 3), Level(2)) == \
+        check_k_radio(g, (1, 2, 3), 2)
+
+
 def test_incomplete_labeling_rejected():
     with pytest.raises(IncompleteLabelingError):
         check_radio(path(3), (1, 2))
@@ -173,6 +190,53 @@ def test_k1_equals_proper_coloring():
             labels = [rng.randrange(1, 4) for _ in range(n)]
             proper = all(labels[u] != labels[v] for u, v in g.edges())
             assert (check_k_radio(g, labels, 1) == []) == proper, name
+
+
+def test_k1_scans_edges_past_the_distance_cache():
+    # P_5000 has no all-pairs table (DISTANCE_CACHE_LIMIT is 4096); at
+    # k = 1 only the edges are read, so none is filled
+    g = path(5000)
+    assert g.vertex_count > graphs.DISTANCE_CACHE_LIMIT
+    colouring = [1 + v % 2 for v in range(5000)]
+    assert check_k_radio(g, colouring, 1) == []
+    colouring[4999] = colouring[4998]
+    for fail_fast in (False, True):
+        assert check_k_radio(g, colouring, 1, fail_fast) == \
+            [Violation(4998, 4999, 1, 0)]
+    assert g._dist is None
+
+
+def test_k1_builds_no_product_adjacency():
+    g = cartesian_power(complete(5), 4)
+    colouring = [1 + sum(graphs.decode_index(v, g.factor_sizes)) % 5
+                 for v in range(g.vertex_count)]
+    assert check_k_radio(g, colouring, 1) == []
+    # vertex 0 takes label 2, as each neighbour with one coordinate 1 has
+    colouring[0] = colouring[1]
+    assert check_k_radio(g, colouring, 1) == \
+        [Violation(0, v, 1, 0) for v in (1, 5, 25, 125)]
+    assert g._adjacency is None
+
+
+def test_k1_reads_no_diameter_or_distance(monkeypatch):
+    rng = random.Random(34)
+    cases = []
+    for name, g in kernel_corpus() + small_corpus():
+        n = g.vertex_count
+        for top in (2, 3, n):
+            labels = [rng.randint(1, top) for _ in range(n)]
+            cases += [(name, g, labels, fail_fast,
+                       reference_k_radio(g, labels, 1, fail_fast))
+                      for fail_fast in (False, True)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("distance or diameter read at k = 1")
+
+    for attr in ("diameter", "distance_matrix", "_distance_function"):
+        monkeypatch.setattr(Graph, attr, refuse)
+    for name, g, labels, fail_fast, expected in cases:
+        assert check_k_radio(g, labels, 1, fail_fast) == expected, name
+    assert any(expected for *_, expected in cases)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +510,15 @@ def test_radio_check_reads_no_window_kernel(monkeypatch):
     assert check_radio(g, labels) == [] == reference_k_radio(g, labels, 3)
     found = check_radio(g, swapped)
     assert found and found == reference_k_radio(g, swapped, 3)
+    # k = 1 on a colouring of K_4^3 by coordinate sum mod 4, and on that
+    # colouring with one label copied onto a neighbour
+    colouring = [1 + sum(graphs.decode_index(v, g.factor_sizes)) % 4
+                 for v in range(g.vertex_count)]
+    assert check_k_radio(g, colouring, 1) == [] == \
+        reference_k_radio(g, colouring, 1)
+    colouring[5] = colouring[4]
+    found = check_k_radio(g, colouring, 1)
+    assert found and found == reference_k_radio(g, colouring, 1)
 
 
 def test_fail_fast_stops_after_the_first_violating_offset(monkeypatch):
