@@ -675,30 +675,13 @@ _WRITTEN_LINE = re.compile(r"([0-9]+) ([0-9]+)\n")
 
 
 def _written_power(text: str) -> Optional[Graph]:
-    """The product F^t, t >= 2, that ``text`` is the edge list of, F its
-    subgraph on the first m vertices, if ``text`` is in the form
-    format_edge_list writes and F^t written again is exactly ``text``;
-    else None.  Equal texts are equal edge sets.
-
-    F has m vertices with m^t = n, and F^t has t * m^(t-1) * e edges, e
-    F's edge count, so the header's edge count must be that for a whole
-    e >= 1.  F's edges are read from the leading lines: a written F^t
-    lists the lines of its first m vertices first, the edges of F among
-    them.  A candidate is skipped unless there are e of them and they
-    make a connected F without a loop: F^t is connected exactly when F
-    is, so no BFS runs on F^t.  The largest t is tried first, so a K_n^t
-    file gets complete factors.  A factor past DISTANCE_CACHE_LIMIT,
-    whose distances the product could not serve, leaves the graph flat.
-
-    The header must count the text's edge lines and at least n - 1
-    edges before n ** (1 / t) is taken, so a huge header integer never
-    reaches a float root and no candidate's text has more lines than
-    ``text``.  The product is built without _check_size, since the
-    graph's edges are already in memory and a file that parses must not
-    fail under a small RADIOLABEL_SIZE_CAP, and without its adjacency.
-    Recognising a relabelled product needs the linear-time
-    factorisation of Imrich and Peterin ("Recognizing Cartesian products
-    in linear time", Discrete Math. 307, 2007)."""
+    """The product F^t, t >= 2, whose text format_edge_list writes is
+    exactly ``text``, F being its subgraph on the first n^(1/t) vertices
+    and at most DISTANCE_CACHE_LIMIT of them, the largest t first; else
+    None.  The product has no adjacency yet and skips _check_size.  A
+    candidate t whose header or leading lines do not fit costs at most
+    its F's lines; one that fits is written again and compared, O(N +
+    |E|) time and memory."""
     header = _WRITTEN_LINE.match(text)
     if header is None:
         return None
@@ -757,47 +740,62 @@ def format_edge_list(graph: Graph) -> str:
 
 
 def _edge_list_text(graph: Graph) -> str:
-    """format_edge_list's text.  A flat graph's lines come from its sorted
-    edges; a product's are joined from precomputed vertex names over its
-    folded forward lists (see _forward_lists), which builds no adjacency
-    and sorts no pairs.  _written_power calls this, not format_edge_list,
-    to write each candidate power again."""
+    """format_edge_list's text: a flat graph's from its sorted edges, a
+    product's from _forward_lists over its vertex names, with no
+    adjacency, no sort and no int per neighbour; O(N + |E|) memory."""
     n = graph.vertex_count
     if graph._factors is None:
         edges = graph.edges()
         lines = [f"{n} {len(edges)}"]
         lines.extend(f"{u} {v}" for u, v in edges)
         return "\n".join(lines) + "\n"
-    forward = _forward_lists(graph)
     names = list(map(str, range(n)))
-    name = names.__getitem__
+    forward = _forward_lists(graph, names)
     # each vertex's lines, a line break before each: "\nu v1\nu v2..."
-    body = "".join([head + head.join(map(name, above))
+    body = "".join([head + head.join(above)
                     for head, above in zip([f"\n{u} " for u in names],
                                            forward)
                     if above])
     return f"{n} {sum(map(len, forward))}{body}\n"
 
 
-def _forward_lists(graph: Graph) -> list:
-    """Each vertex's neighbours above it, ascending.  A product's are
-    folded from its factors' lists two at a time, left to right,
-    numbering (g, h) as g|H| + h, which gives each vertex the index
-    encode_coordinates gives its tuple: the neighbours above (g, h) are
-    g|H| + y for each y above h in H, all below (g + 1)|H|, then
-    x|H| + h for each x above g in G, so the list comes out sorted."""
+def _forward_lists(graph: Graph, items: Optional[Sequence] = None) -> list:
+    """Each vertex's neighbours above it, ascending, as items[w] for each
+    neighbour w (w itself without ``items``).  A product numbers (g, h)
+    as g|H| + h, folding its factors left to right, so each vertex has
+    the index encode_coordinates gives its tuple, and its lists share
+    their items: O(N + |E|) memory."""
     if graph._factors is None:
-        return [sorted([w for w in nbrs if w > v])
-                for v, nbrs in enumerate(graph.adjacency)]
-    forward = _forward_lists(graph._factors[0])
-    for f in graph._factors[1:]:
-        h_forward = _forward_lists(f)
+        forward = [sorted([w for w in nbrs if w > v])
+                   for v, nbrs in enumerate(graph.adjacency)]
+        if items is None:
+            return forward
+        levels = [forward]
+    else:
+        levels = [_forward_lists(f) for f in graph._factors]
+    # the first factor's lists are already its ints; names start from K_1
+    forward = levels.pop(0) if items is None else [()]
+    for depth, h_forward in enumerate(levels, 1):
         nh = len(h_forward)
-        forward = [[g * nh + y for y in h_above]
-                   + [x * nh + h for x in g_above]
-                   for g, g_above in enumerate(forward)
-                   for h, h_above in enumerate(h_forward)]
+        size = len(forward) * nh
+        last = depth == len(levels) and items is not None
+        seq = tuple(items if last else range(size))
+        blocks = [seq[i:i + nh] for i in range(0, size, nh)]
+        cols = [seq[h::nh] for h in range(nh)]
+        h_gets = list(map(_gatherer, h_forward))
+        forward = [h_get(block) + g_get(col)
+                   for block, g_get in zip(blocks, map(_gatherer, forward))
+                   for h_get, col in zip(h_gets, cols)]
     return forward
+
+
+def _gatherer(indices: Sequence[int]) -> Callable[[tuple], tuple]:
+    """operator.itemgetter over ``indices``, returning a tuple for any
+    count: one index or none is a slice."""
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)
+    start = indices[0] if indices else 0
+    return operator.itemgetter(slice(start, start + len(indices)))
 
 
 def read_text(source: Union[str, os.PathLike, TextIO]) -> str:

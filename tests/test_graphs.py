@@ -7,7 +7,7 @@ import tracemalloc
 from collections import deque
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (counted_edge_list, kernel_corpus, random_connected,
                       relabelled, small_corpus)
@@ -158,6 +158,7 @@ def test_distance_function_matches_bfs():
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=4).filter(
     lambda sizes: math.prod(sizes) <= 512))
+@example(sizes=[1])
 def test_hamming_kernel_matches_bfs(sizes):
     # products of complete factors, the packed-code branch; field widths
     # from 1 to 4 bits, filled exactly or not, and K_1 factors
@@ -430,25 +431,97 @@ def test_last_coordinate_varies_fastest():
     assert encode_coordinates((1, 2), sizes) == 5
 
 
+def codec_edges(g):
+    """The edges (u, v), u < v, of product ``g``, sorted, by the
+    definition of the Cartesian product: the decoded coordinates differ
+    in one position k and are adjacent in factor k.  Shares no code with
+    graphs._forward_lists."""
+    sizes = g.factor_sizes
+    coords = [decode_index(v, sizes) for v in range(g.vertex_count)]
+    edges = []
+    for u in range(g.vertex_count):
+        for v in range(u + 1, g.vertex_count):
+            differ = [k for k, (a, b)
+                      in enumerate(zip(coords[u], coords[v])) if a != b]
+            if len(differ) == 1:
+                k = differ[0]
+                if coords[v][k] in g.factors[k].adjacency[coords[u][k]]:
+                    edges.append((u, v))
+    return edges
+
+
 def test_product_adjacency_follows_the_coordinate_codec():
-    # u ~ v exactly when their decoded coordinates differ in one position
-    # k and are adjacent in factor k: the definition of the Cartesian
-    # product, checked against the adjacency built by folding the factors
+    # the adjacency and the written text, both read from the one fold,
+    # against edges that decode coordinates
     for name, g in kernel_corpus():
         if g.factors is None:
             continue
-        sizes = g.factor_sizes
-        coords = [decode_index(v, sizes) for v in range(g.vertex_count)]
+        edges = codec_edges(g)
+        expected = [set() for _ in range(g.vertex_count)]
+        for u, v in edges:
+            expected[u].add(v)
+            expected[v].add(u)
         for u in range(g.vertex_count):
-            expected = set()
-            for v in range(g.vertex_count):
-                differ = [k for k, (a, b)
-                          in enumerate(zip(coords[u], coords[v])) if a != b]
-                if len(differ) == 1:
-                    k = differ[0]
-                    if coords[v][k] in g.factors[k].adjacency[coords[u][k]]:
-                        expected.add(v)
-            assert g.adjacency[u] == expected, (name, u)
+            assert g.adjacency[u] == expected[u], (name, u)
+        assert format_edge_list(g) == f"{g.vertex_count} {len(edges)}\n" + (
+            "".join(f"{u} {v}\n" for u, v in edges)), name
+
+
+def list_comprehension_forward_lists(graph):
+    """_forward_lists as a list comprehension per level, building each
+    neighbour's int: the oracle of the itemgetter fold."""
+    if graph.factors is None:
+        return [sorted([w for w in nbrs if w > v])
+                for v, nbrs in enumerate(graph.adjacency)]
+    forward = list_comprehension_forward_lists(graph.factors[0])
+    for f in graph.factors[1:]:
+        h_forward = list_comprehension_forward_lists(f)
+        nh = len(h_forward)
+        forward = [[g * nh + y for y in h_above]
+                   + [x * nh + h for x in g_above]
+                   for g, g_above in enumerate(forward)
+                   for h, h_above in enumerate(h_forward)]
+    return forward
+
+
+def mapped_names_text(graph):
+    """The edge-list text joined from the oracle fold through
+    map(name, ...): the oracle of the writer, flat graphs included."""
+    n = graph.vertex_count
+    forward = list_comprehension_forward_lists(graph)
+    names = list(map(str, range(n)))
+    name = names.__getitem__
+    body = "".join([head + head.join(map(name, above))
+                    for head, above in zip([f"\n{u} " for u in names],
+                                           forward)
+                    if above])
+    return f"{n} {sum(map(len, forward))}{body}\n"
+
+
+def fold_corpus():
+    """kernel_corpus, first powers, products with a K_1 factor, and the
+    complete powers K_4^3..K_7^3, K_4^4 and K_6^5."""
+    corpus = kernel_corpus()
+    corpus += [(f"{name}^1", cartesian_power(g, 1)) for name, g in corpus]
+    k1 = complete(1)
+    corpus += [("(K1)", Graph._product([k1])),
+               ("(K3)", Graph._product([complete(3)])),
+               ("C5xK1", cartesian_product(cycle(5), k1)),
+               ("K1xK1xP3", Graph._product([k1, k1, path(3)])),
+               ("K1xK1", Graph._product([k1, k1]))]
+    corpus += [(f"K{n}^{t}", cartesian_power(complete(n), t))
+               for n, t in [(4, 3), (5, 3), (6, 3), (7, 3), (4, 4), (6, 5)]]
+    return corpus
+
+
+def test_itemgetter_fold_matches_the_list_comprehension_fold():
+    for name, g in fold_corpus():
+        expected = list_comprehension_forward_lists(g)
+        assert list(map(list, graphs._forward_lists(g))) == expected, name
+        names = [f"v{v}" for v in range(g.vertex_count)]
+        assert list(map(list, graphs._forward_lists(g, names))) == [
+            [names[w] for w in above] for above in expected], name
+        assert format_edge_list(g) == mapped_names_text(g), name
 
 
 def one_level_hamming_codes(sizes):
