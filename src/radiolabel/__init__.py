@@ -7,8 +7,6 @@ from .bounds import (
     NO_CONSECUTIVE,
     UNKNOWN,
     ThresholdReport,
-    agreement_cap,
-    pairwise_agreement_total,
     threshold_report,
     threshold_report_params,
     threshold_s,
@@ -48,16 +46,11 @@ from .graphs import (
     write_edge_list,
 )
 from .knt import (
-    BlockClaimReport,
-    FirstRowMatrix,
-    agreement_count,
-    block_entries,
     first_row_matrix,
     flat_indices,
     knt_ordering,
     knt_ordering_matrix,
     knt_ordering_recursive,
-    verify_block_claims,
 )
 from .labeling import (
     Labeling,

@@ -47,25 +47,6 @@ def threshold_s_complete(n: int) -> int:
     return 1 + n * (n * n - 1) // 6
 
 
-def agreement_cap(t: int, diam: int, i: int, j: int) -> int:
-    """Most coordinates positions i and j of a consecutive ordering of a
-    power G^t may agree in: min(t, floor((|i-j| - 1) / diam))."""
-    if i == j:
-        raise InvalidParameterError("positions must be distinct")
-    if t < 1 or diam < 1:
-        raise InvalidParameterError("t and diam must be positive")
-    return min(t, (abs(i - j) - 1) // diam)
-
-
-def pairwise_agreement_total(n: int, diam: int) -> int:
-    """Total agreement budget of the first n+1 positions of an ordering,
-    by direct double summation; telescopes to threshold_s(n, diam) - 1."""
-    if n < 2 or diam < 1:
-        raise InvalidParameterError("need n >= 2 and diam >= 1")
-    return sum((i - j - 1) // diam
-               for i in range(2, n + 2) for j in range(1, i))
-
-
 @dataclass(frozen=True)
 class ThresholdReport:
     """Classification of queried powers of one base graph."""

@@ -6,7 +6,7 @@ class RadioLabelError(ValueError):
 
 
 class IndexOutOfRangeError(RadioLabelError):
-    """A vertex, column, or block index is outside its valid range."""
+    """A vertex, coordinate or flat index is outside its valid range."""
 
 
 class SelfLoopError(RadioLabelError):

@@ -181,9 +181,6 @@ class Graph:
         out.sort()
         return out
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def distance(self, u: int, v: int) -> int:
         """Hop distance; coordinatewise sum for products, else cached BFS."""
         if not (0 <= u < self._n and 0 <= v < self._n):

@@ -88,36 +88,25 @@ def check_k_radio(graph: Graph, labeling: Union[Labeling, Sequence[int]],
 
     Violations come in (u, v) order with u < v, and with fail_fast only
     the first of them is returned.  k must be an integer (an int
-    subclass will do).  Since d(u, v) >= 1, a pair whose labels differ
-    by k or more always passes, so only pairs whose labels differ by
-    less than k are tested, along one of three paths.
+    subclass will do).  Only pairs whose labels differ by less than k
+    are tested, along one of three paths (the README's labeling bullet
+    says why each is exact):
 
-    k = 1, where the condition is a proper colouring: the violations are
-    the edges whose ends share a label, read from each vertex's higher
-    neighbours (graphs._forward_lists), O(|E|) work.  This path computes
-    no diameter and no distance, so it answers past
-    DISTANCE_CACHE_LIMIT too, and it builds no product adjacency.
-
-    Distinct labels at k >= 2, which every radio labeling has: the
-    vertices are sorted by label once, and the pairs c places apart in
-    that order are tested together for c = 1, 2, ...  Their gaps are at
-    least c and never shrink as c grows, so the scan stops at the first
-    offset whose least gap is k or more: O(N log N + N k) work for N
-    vertices, each offset's distances and gaps taken in C-level passes,
-    and a Python loop only over an offset that holds a violation.
-
-    Repeated labels at 2 <= k < diam: the vertices are grouped by label
-    and each probes the 2k - 1 labels around its own, O(N log N + N k m)
-    work for at most m vertices sharing one label.  An offset scan there
-    would test pairs across equal labels and pay its per-offset passes
-    for each.
+    - k = 1: the edges whose ends share a label, O(|E|) work;
+    - distinct labels, k >= 2: the pairs c places apart in label order,
+      c = 1, 2, ..., up to the first offset whose least gap is k or
+      more, O(N log N + N k) work for N vertices;
+    - repeated labels, 2 <= k < diam: the vertices grouped by label,
+      O(N log N + N k m) work for at most m vertices sharing one label.
 
     At k >= 2 fail_fast takes the grouped loop, which stops at the first
     vertex with a violation; on distinct labels only once an offset has
     shown that there is one.  At k = 1 it stops at the first violating
-    edge, but only after the whole neighbour fold is built.  No path
-    reads the window kernels (Graph._window_holds), which this check
-    audits.
+    edge, but only after the whole neighbour fold is built.  The k = 1
+    path computes no diameter and no distance, so it answers past
+    DISTANCE_CACHE_LIMIT too, and it builds no product adjacency.  No
+    path reads the window kernels (Graph._window_holds), which this
+    check audits.
     """
     try:
         k = operator.index(k)

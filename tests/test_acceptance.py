@@ -8,6 +8,11 @@ budgets are generous ceilings, not measurements of typical speed.
 import time
 
 from conftest import small_corpus
+from paper_claims import (
+    assert_agreement_below_offset,
+    assert_block_claims,
+    pairwise_agreement_total,
+)
 from radiolabel import (
     EXHAUSTED,
     NO_CONSECUTIVE,
@@ -23,16 +28,13 @@ from radiolabel import (
     find_consecutive_ordering,
     flat_indices,
     induced_labeling,
-    agreement_count,
     knt_ordering_matrix,
     knt_ordering_recursive,
-    pairwise_agreement_total,
     path,
     petersen,
     threshold_s,
     threshold_s_complete,
     verdict,
-    verify_block_claims,
     verify_witness,
 )
 
@@ -83,12 +85,7 @@ def test_criterion_3_permutation_and_agreement_bounds():
             order = knt_ordering_matrix(n, t)
             assert sorted(flat_indices(order, n)) == \
                 list(range(n ** t)), (n, t)
-            total = n ** t
-            for i in range(total - 1):
-                top = min(t, total - 1 - i)
-                for s in range(1, top + 1):
-                    assert agreement_count(order[i], order[i + s]) <= s - 1, \
-                        (n, t, i, s)
+            assert_agreement_below_offset(order, t)
 
     _run(3, "orderings are bijections and positions i, i+s agree in at "
             "most s-1 coordinates", 30.0, body)
@@ -98,8 +95,7 @@ def test_criterion_4_block_structure_holds_exhaustively():
     def body():
         for n in range(3, 6):
             for t in range(1, n + 1):
-                report = verify_block_claims(n, t)
-                assert report.all_hold, (n, t, report.failures)
+                assert_block_claims(n, t)
 
     _run(4, "column blocks are constant, repeat exactly when n divides "
             "c+1, and sibling blocks are distinct", 10.0, body)

@@ -2,10 +2,11 @@
 empty ``dependencies`` promises; the test tools installed beside it
 would hide a stray import from every other test.  Each module also uses
 every name it imports, each private module-level name is read somewhere
-in the package, each CLI flag is read by the code it is meant to steer,
-only graphs knows that a distance row may be bytes, and no comment or
-string cites a wall-clock figure or a host, which no linter checks
-here."""
+in the package, each exported name is read by the package, perfbench or
+the README's library example, each CLI flag is read by the code it is
+meant to steer, only graphs knows that a distance row may be bytes, and
+no comment or string cites a wall-clock figure or a host, which no
+linter checks here."""
 
 import argparse
 import ast
@@ -82,16 +83,21 @@ def test_package_modules_use_every_import():
         assert not unused, f"{path.name} imports {sorted(unused)} unused"
 
 
-def unread_private_names(sources: dict) -> set:
-    """(module, name) of each private module-level function or constant
-    in ``sources``, a dict of module name to source, that no code in
-    them reads: as a name, or as an attribute of another module.  A
-    function's reads of its own name, a recursion, do not count."""
+def private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unread_names(sources: dict, wanted=private) -> set:
+    """(module, name) of each module-level function, class or constant
+    in ``sources``, a dict of module name to source, whose name passes
+    ``wanted`` and that no code in them reads: as a name, or as an
+    attribute of another module.  Reads within its own definition, such
+    as a recursion, do not count."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     defined = {}  # (module, name) -> the lines of its definition
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, ast.FunctionDef):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, ast.Assign):
                 names = [t.id for t in node.targets
@@ -99,7 +105,7 @@ def unread_private_names(sources: dict) -> set:
             else:
                 continue
             for name in names:
-                if name.startswith("_") and not name.startswith("__"):
+                if wanted(name):
                     defined[module, name] = range(node.lineno,
                                                   node.end_lineno + 1)
     reads = set()  # (module, line, name)
@@ -123,14 +129,60 @@ def test_unread_private_names_reads_every_form():
               "def _g():\n    pass\n_C = _D = 4\n"),
         "b": "from . import a\nX = a._g, a._C\n",
     }
-    assert unread_private_names(sources) == {
+    assert unread_names(sources) == {
         ("a", "_B"), ("a", "_f"), ("a", "_loop"), ("a", "_D")}
 
 
 def test_every_private_name_is_read():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
-    assert unread_private_names(sources) == set()
+    assert unread_names(sources) == set()
+
+
+# public names that no package module, perfbench module or the README's
+# library example reads, each with the reason it is exported anyway
+UNREAD_EXPORTS = {
+    "all_pairs_distances": "the BFS table that tests check product "
+                           "distances against, independent of the kernels",
+    "knt_ordering_recursive": "the independent construction that "
+                              "knt_ordering_matrix is tested against",
+}
+
+
+def unread_exports(init_source: str, sources: dict) -> set:
+    """The names that the imports of ``init_source`` bind and that no
+    code in ``sources`` reads outside the name's own definition."""
+    exported = {alias.asname or alias.name
+                for node in ast.walk(ast.parse(init_source))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    return {name for _module, name in unread_names(sources,
+                                                   exported.__contains__)}
+
+
+def test_unread_exports_reads_every_form():
+    init = "from .a import A, K, UNUSED, f, g, h\nfrom .b import X\n"
+    sources = {
+        "a": ("class A:\n    def copy(self) -> A:\n        return A()\n"
+              "def f(n):\n    return f(n - 1)\n"
+              "def g():\n    pass\ndef h():\n    pass\nK = UNUSED = 1\n"),
+        "b": "from .a import K\nX = K\n",
+        "perfbench": "import radiolabel as rl\nrl.g(rl.X)\n",
+        "README": "from radiolabel import h\nh()\n",
+    }
+    assert unread_exports(init, sources) == {"A", "UNUSED", "f"}
+
+
+def test_every_export_is_read():
+    repo = Path(__file__).resolve().parent.parent
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(
+        (repo / "perfbench").glob("*.py"))
+    sources = {f"{path.parent.name}.{path.stem}": path.read_text(
+        encoding="utf-8") for path in paths}
+    readme = (repo / "README.md").read_text(encoding="utf-8")
+    (sources["README"],) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    assert unread_exports(init, sources) == set(UNREAD_EXPORTS)
 
 
 # a wall-clock figure, "0.5 s", "2.3 ms", "1-s budget", "40 µs", or a

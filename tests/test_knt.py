@@ -1,14 +1,17 @@
 import time
+from operator import eq
 
 import pytest
 
+from paper_claims import (
+    assert_agreement_below_offset,
+    assert_block_claims,
+    column_blocks,
+    transposed_mispredictions,
+)
 from radiolabel import (
-    ArityMismatchError,
-    IndexOutOfRangeError,
     ParameterOutOfRangeError,
     SizeLimitExceededError,
-    agreement_count,
-    block_entries,
     cartesian_power,
     complete,
     first_row_matrix,
@@ -18,7 +21,6 @@ from radiolabel import (
     knt_ordering,
     knt_ordering_matrix,
     knt_ordering_recursive,
-    verify_block_claims,
 )
 
 GRID = [(n, t) for n in (3, 4, 5) for t in range(1, n + 1)]
@@ -96,19 +98,14 @@ def test_adjacent_groups_differ_in_one_column():
 
 def test_agreement_shrinks_with_offset():
     for n, t in GRID + [(6, 4)]:
-        order = knt_ordering_matrix(n, t)
-        total = n ** t
-        for i in range(total - 1):
-            for s in range(1, min(t, total - 1 - i) + 1):
-                assert agreement_count(order[i], order[i + s]) <= s - 1, \
-                    (n, t, i, s)
+        assert_agreement_below_offset(knt_ordering_matrix(n, t), t)
 
 
 def test_neighbors_in_order_share_nothing():
     for n, t in GRID:
         order = knt_ordering_matrix(n, t)
         for a, b in zip(order, order[1:]):
-            assert agreement_count(a, b) == 0
+            assert sum(map(eq, a, b)) == 0
 
 
 def test_induced_labeling_is_consecutive_small():
@@ -136,7 +133,7 @@ def test_parameter_validation(monkeypatch):
         with pytest.raises(SizeLimitExceededError):
             construction(3, 2)
     with pytest.raises(SizeLimitExceededError):
-        verify_block_claims(3, 2)
+        first_row_matrix(3, 2)
 
 
 def test_huge_ordering_is_refused_at_once(monkeypatch):
@@ -153,10 +150,10 @@ def test_huge_ordering_is_refused_at_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_agreement_count():
-    assert agreement_count((0, 1, 2), (0, 1, 2)) == 3
-    assert agreement_count((0, 1), (0, 2)) == 1
-    with pytest.raises(ArityMismatchError):
-        agreement_count((0, 1), (0, 1, 2))
+    # positions i and i + 3 of the 3^2 ordering, the same row of adjacent
+    # groups, agree in the one column that is not advanced
+    order = knt_ordering_matrix(3, 2)
+    assert [sum(map(eq, a, b)) for a, b in zip(order, order[3:])] == [1] * 6
 
 
 # ---------------------------------------------------------------------------
@@ -165,72 +162,52 @@ def test_agreement_count():
 
 def test_first_row_matrix_shape_and_uniqueness():
     for n, t in GRID:
-        matrix = first_row_matrix(n, t)
-        assert len(matrix.rows) == n ** (t - 1)
-        assert all(len(row) == t for row in matrix.rows)
-        assert len(set(matrix.rows)) == len(matrix.rows), (n, t)
+        rows = first_row_matrix(n, t)
+        assert len(rows) == n ** (t - 1)
+        assert all(len(row) == t for row in rows)
+        assert len(set(rows)) == len(rows), (n, t)
 
 
 def test_block_sizes_and_first_column():
-    matrix = first_row_matrix(3, 3)
-    # column 1 is a single block of every row, all zeros
-    assert block_entries(matrix, 1, 0) == [0] * 9
-    # last column blocks hold one entry each
-    assert all(len(block_entries(matrix, 3, c)) == 1 for c in range(9))
-    assert len(block_entries(matrix, 2, 0)) == 3
+    # column 1 is a single block of every row, all zeros; column j has
+    # n^(j-1) blocks
+    assert [row[0] for row in first_row_matrix(3, 3)] == [0] * 9
+    assert column_blocks(3, 3, 1) == [0]
+    assert len(column_blocks(3, 3, 2)) == 3
+    assert len(column_blocks(3, 3, 3)) == 9
 
 
 def test_block_entries_single_entry_case():
-    matrix = first_row_matrix(3, 2)
-    assert block_entries(matrix, 2, 0) == [0]
-
-
-def test_block_entries_bounds():
-    matrix = first_row_matrix(3, 2)
-    with pytest.raises(IndexOutOfRangeError):
-        block_entries(matrix, 0, 0)
-    with pytest.raises(IndexOutOfRangeError):
-        block_entries(matrix, 3, 0)
-    with pytest.raises(IndexOutOfRangeError):
-        block_entries(matrix, 2, 3)
+    # the last column's blocks hold one entry each
+    assert column_blocks(3, 2, 2) == [0, 1, 2]
 
 
 def test_blocks_are_constant():
     for n, t in GRID:
-        matrix = first_row_matrix(n, t)
         for j in range(1, t + 1):
-            for c in range(n ** (j - 1)):
-                entries = block_entries(matrix, j, c)
-                assert len(set(entries)) == 1, (n, t, j, c)
+            column_blocks(n, t, j)
 
 
 def test_block_claims_spot_cases():
     for n, t in [(3, 2), (3, 3), (4, 3)]:
-        report = verify_block_claims(n, t)
-        assert report.all_hold, report.failures
+        assert_block_claims(n, t)
 
 
 def test_block_claims_grid():
     for n, t in GRID:
-        report = verify_block_claims(n, t)
-        assert report.within_block_constant, (n, t)
-        assert report.first_blocks_all_zero, (n, t)
-        assert report.repetition_matches_rule, (n, t)
-        assert report.sibling_blocks_distinct, (n, t)
-        assert report.failures == (), (n, t)
+        assert_block_claims(n, t)
 
 
 def test_transposed_divisibility_reading_differs():
     # the reversed reading of the repetition rule mispredicts somewhere on
-    # every multi-column case, so the reports must record the divergence
-    assert verify_block_claims(3, 2).transposed_rule_mismatches > 0
-    assert verify_block_claims(4, 3).transposed_rule_mismatches > 0
+    # these multi-column cases
+    assert transposed_mispredictions(3, 2) > 0
+    assert transposed_mispredictions(4, 3) > 0
 
 
 def test_block_repetition_examples():
     # in column 3 of the 3^3 case, adjacent blocks repeat exactly at
     # c = 2 and c = 5 (n divides c+1)
-    matrix = first_row_matrix(3, 3)
-    column = [block_entries(matrix, 3, c)[0] for c in range(9)]
+    column = column_blocks(3, 3, 3)
     repeats = [c for c in range(8) if column[c] == column[c + 1]]
     assert repeats == [2, 5]
