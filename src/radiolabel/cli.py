@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import bounds, graphs, knt, labeling as lb, search
 from .errors import RadioLabelError
@@ -49,10 +49,16 @@ def _budget_flag(parser: argparse.ArgumentParser) -> None:
                              f"{search.DEFAULT_TIME_BUDGET:g})")
 
 
-def _result_text(result: search.SearchResult, fmt: str) -> str:
+def _report(args, fields: Callable[[], dict], table: Callable[[], str]
+            ) -> None:
+    """Print a command's report in its --format: json.dumps of
+    ``fields()``, or ``table()``; only the rendering printed is built."""
+    sys.stdout.write(json.dumps(fields(), indent=2) + "\n"
+                     if args.format == JSON else table())
+
+
+def _search_table(result: search.SearchResult) -> str:
     fields = result.to_dict()
-    if fmt == JSON:
-        return json.dumps(fields, indent=2) + "\n"
     width = max(map(len, fields))
     lines = []
     for key, value in fields.items():
@@ -60,6 +66,27 @@ def _result_text(result: search.SearchResult, fmt: str) -> str:
             value = " ".join(map(str, value))
         lines.append(f"{key:<{width}}  {'-' if value is None else value}\n")
     return "".join(lines)
+
+
+def _verify_table(k: int, violations: list, span: int,
+                  all_violations: bool) -> str:
+    if not violations:
+        return f"valid for k={k}, span {span}\n"
+    lines = [f"invalid for k={k}: {len(violations)} violation(s)"
+             + ("" if all_violations else " (first shown)")]
+    lines += [f"  ({w.u}, {w.v}) gap {w.actual_gap} < required "
+              f"{w.required_gap}" for w in violations]
+    return "\n".join(lines) + "\n"
+
+
+def _threshold_table(report: bounds.ThresholdReport) -> str:
+    lines = [f"n {report.n}  diam {report.diam}  s {report.s}"
+             + (f"  closed-form {report.closed_form_s}"
+                if report.closed_form_s is not None else "")]
+    if report.verdicts:
+        lines.append("t  verdict")
+        lines += [f"{t}  {v}" for t, v in report.verdicts]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -101,17 +128,10 @@ def _cmd_induce(args) -> int:
     order = lb.ordering_from_json(_read_text(args.ordering), graph)
     result = lb.induced_labeling(graph, order)
     consecutive = result.span == graph.vertex_count
-    if args.format == JSON:
-        payload = {
-            "graph": args.graph,
-            "labels": list(result.labels),
-            "span": result.span,
-            "consecutive": consecutive,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", None)
-    else:
-        _emit(f"span {result.span}\n"
-              f"consecutive: {str(consecutive).lower()}\n", None)
+    _report(args, lambda: {"graph": args.graph, "labels": list(result.labels),
+                           "span": result.span, "consecutive": consecutive},
+            lambda: f"span {result.span}\n"
+                    f"consecutive: {str(consecutive).lower()}\n")
     if args.out:
         _emit(lb.labeling_to_json(result, graph_file=args.graph), args.out)
     return 0
@@ -123,21 +143,10 @@ def _cmd_verify(args) -> int:
     k = args.k if args.k is not None else max(graph.diameter(), 1)
     violations = lb.check_k_radio(graph, lab, k,
                                   fail_fast=not args.all_violations)
-    if args.format == JSON:
-        payload = {
-            "k": k,
-            "valid": not violations,
-            "violations": [w._asdict() for w in violations],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", None)
-    elif violations:
-        lines = [f"invalid for k={k}: {len(violations)} violation(s)"
-                 + ("" if args.all_violations else " (first shown)")]
-        lines += [f"  ({w.u}, {w.v}) gap {w.actual_gap} < required "
-                  f"{w.required_gap}" for w in violations]
-        _emit("\n".join(lines) + "\n", None)
-    else:
-        _emit(f"valid for k={k}, span {lab.span}\n", None)
+    _report(args, lambda: {"k": k, "valid": not violations,
+                           "violations": [w._asdict() for w in violations]},
+            lambda: _verify_table(k, violations, lab.span,
+                                  args.all_violations))
     return 1 if violations else 0
 
 
@@ -145,14 +154,14 @@ def _cmd_radio_number(args) -> int:
     graph = _read_graph(args.graph)
     result = search.exact_radio_number(graph, prune=not args.no_prune,
                                        time_budget=args.budget)
-    _emit(_result_text(result, args.format), None)
+    _report(args, result.to_dict, lambda: _search_table(result))
     return 0
 
 
 def _cmd_search_consecutive(args) -> int:
     graph = _read_graph(args.graph)
     result = search.find_consecutive_ordering(graph, time_budget=args.budget)
-    _emit(_result_text(result, args.format), None)
+    _report(args, result.to_dict, lambda: _search_table(result))
     return 0
 
 
@@ -162,16 +171,7 @@ def _cmd_threshold(args) -> int:
         report = bounds.threshold_report(_read_graph(args.graph), ts)
     else:
         report = bounds.threshold_report_params(args.n, args.diam, ts)
-    if args.format == JSON:
-        _emit(json.dumps(report.to_dict(), indent=2) + "\n", None)
-        return 0
-    lines = [f"n {report.n}  diam {report.diam}  s {report.s}"
-             + (f"  closed-form {report.closed_form_s}"
-                if report.closed_form_s is not None else "")]
-    if report.verdicts:
-        lines.append("t  verdict")
-        lines += [f"{t}  {v}" for t, v in report.verdicts]
-    _emit("\n".join(lines) + "\n", None)
+    _report(args, report.to_dict, lambda: _threshold_table(report))
     return 0
 
 

@@ -196,22 +196,14 @@ class Graph:
 
     def distance_matrix(self, deadline: float = math.inf
                         ) -> Optional[DistanceMatrix]:
-        """All-pairs hop distances, filled once and cached, one row at a
-        time: a flat graph's rows by BFS from each source, a product's by
-        summing its factors' tables, each row built only when the fill
-        asks for it.
-
-        Below diameter 256 every row is bytes, one byte an entry (16 MiB
-        on the 4096 vertices of K_4^6, where lists took 129 MiB); a wider
-        table keeps lists of ints.  A flat graph's BFS rows are packed as
-        they come, until one holds a distance past 255; a product's rows
-        are folded from its factors' bytes rows with bytes.translate (see
-        _product_rows).
+        """All-pairs hop distances, filled once and cached: a flat graph's
+        rows by BFS from each source, a product's summed from its factors'
+        tables.  Every row is bytes, one byte an entry, below diameter 256,
+        and a list of ints otherwise.
 
         If time.monotonic() passes ``deadline`` between two rows, or while
         a factor's table is filled under the same deadline, the partial
-        table is dropped and None returned; a search passes its deadline,
-        so its budget bounds every table.  Without a deadline the result
+        table is dropped and None returned; without a deadline the result
         is never None.  Raises TooLargeError above DISTANCE_CACHE_LIMIT
         vertices.
         """
@@ -507,9 +499,9 @@ def cartesian_power(g: Graph, t: int) -> Graph:
         raise InvalidParameterError("power must be at least 1")
     n = g.vertex_count
     trivial = t == 1 or n == 1
-    # the size is never formatted: n^t can pass the digit limit of str(int)
-    _check_size(() if trivial else itertools.repeat(n, t),
-                f"{n}^{t} vertices")
+    # the size is never formatted: n^t can pass the digit limit of str(int);
+    # range, not itertools.repeat, counts past sys.maxsize
+    _check_size(() if trivial else (n for _ in range(t)), f"{n}^{t} vertices")
     if trivial:
         return g
     return Graph._product((g.factors or (g,)) * t)
@@ -581,19 +573,11 @@ def parse_edge_list(text: str) -> Graph:
 
     A graph whose edges are exactly those of a Cartesian power F^t
     (t >= 2) of its subgraph F on the first vertices, in the numbering
-    cartesian_power gives it, comes back as that product, so its
-    distances sum per coordinate; any other graph, such as a relabelled
-    power, comes back flat.  The edges are the same either way.
-
-    One rule decides what is a power, _written_power, which compares a
-    text in the form format_edge_list writes with each candidate power
-    written again.  A text in that form is read back so, without
-    tokenising it.  Any other text is read line by line; if its pairs
-    are all in range, they are written in that form, header first, each
-    pair as u < v and the pairs sorted, and that text is tested the same
-    way.  A power comes back without an adjacency: it is built only if
-    asked for.  Only a graph that is not a power is built flat from the
-    pairs, which is where every error after the header's is found.
+    cartesian_power gives it, comes back as that product, with no
+    adjacency until one is asked for, so its distances sum per
+    coordinate; any other graph, such as a relabelled power, comes back
+    flat.  The edges are the same either way.  One rule, _written_power,
+    decides what is a power (see the README's edge-list section).
     """
     power = _written_power(text)
     if power is not None:
@@ -645,11 +629,10 @@ def _graph_from_tokens(text: str, tokens: list) -> Graph:
         raise InvalidParameterError(
             f"header declares {_cut(m, 'digits')} edges, found {len(us)}")
     if us and min(min(us), min(vs)) >= 0 and max(max(us), max(vs)) < n:
-        # one format call, which builds no string per line; the sorted
-        # pairs are dropped before _written_power writes its candidates
-        written = f"{n} {m}\n" + "%d %d\n" * m % tuple(
-            itertools.chain.from_iterable(
-                sorted(zip(map(min, us, vs), map(max, us, vs)))))
+        # the sorted pairs are dropped before _written_power writes its
+        # candidates
+        written = _pairs_text(n, sorted(zip(map(min, us, vs),
+                                            map(max, us, vs))))
         # a text already in that form was refused before it was tokenised
         power = _written_power(written) if written != text else None
         if power is not None:
@@ -742,10 +725,7 @@ def _edge_list_text(graph: Graph) -> str:
     adjacency, no sort and no int per neighbour; O(N + |E|) memory."""
     n = graph.vertex_count
     if graph._factors is None:
-        edges = graph.edges()
-        lines = [f"{n} {len(edges)}"]
-        lines.extend(f"{u} {v}" for u, v in edges)
-        return "\n".join(lines) + "\n"
+        return _pairs_text(n, graph.edges())
     names = list(map(str, range(n)))
     forward = _forward_lists(graph, names)
     # each vertex's lines, a line break before each: "\nu v1\nu v2..."
@@ -754,6 +734,13 @@ def _edge_list_text(graph: Graph) -> str:
                                            forward)
                     if above])
     return f"{n} {sum(map(len, forward))}{body}\n"
+
+
+def _pairs_text(n: int, pairs: Sequence[tuple]) -> str:
+    """The written edge list of ``n`` vertices and ``pairs``, in the order
+    given, in one format call that builds no string per line."""
+    return f"{n} {len(pairs)}\n" + "%d %d\n" * len(pairs) % tuple(
+        itertools.chain.from_iterable(pairs))
 
 
 def _forward_lists(graph: Graph, items: Optional[Sequence] = None) -> list:

@@ -29,7 +29,8 @@ def _validate(n: int, t: int) -> None:
     if not 1 <= t <= n:
         raise ParameterOutOfRangeError(
             f"power t={t} must satisfy 1 <= t <= n={n}")
-    _check_size(itertools.repeat(n, t), f"{n}^{t} vertices")
+    # range, not itertools.repeat, counts past sys.maxsize
+    _check_size((n for _ in range(t)), f"{n}^{t} vertices")
 
 
 def _shift_column(k: int, n: int, t: int) -> int:

@@ -264,24 +264,15 @@ def _largest_triple(dist: list, diam: int, deadline: float
 def _greedy_incumbent(dist: list, bound: int, floors: list,
                       deadline: float, starts: Iterable[int],
                       best: tuple = (math.inf, None)) -> tuple:
-    """(span, ordering) of the best greedy ordering from the given starts,
-    or best if none is better, (inf, None) by default, and best too if none
-    was completed before the deadline.  dist is the distance table, bound
-    is diam + 1, and floors[s] is a lower bound on the span of every
-    ordering starting at s.
-
-    A greedy ordering starts at s and repeatedly appends the unplaced
-    vertex of least induced label, ties to the lowest index.  lab[w] is
-    the maximum over the placed p of labels[p] + bound - d(w, p); the term
-    of the last placed vertex alone exceeds its label, since d <= diam, so
-    lab[w] is the label w takes if placed next.  Terms of vertices more
-    than diam positions back never decide it (see induced_labeling), so
-    the greedy span is the induced span.  One pass over the new vertex's
-    row updates lab: O(n^2) per start.  A start whose floor reaches the
-    best greedy span so far is skipped, as its ordering cannot be
-    strictly better; on a star whose hub is vertex 0 every leaf is
-    skipped this way.  The deadline is polled before each start and each
-    step, and an ordering cut short counts for nothing."""
+    """(span, ordering) of the best greedy ordering from ``starts``, or
+    ``best``, (inf, None) by default, if none is better or none was
+    completed before the deadline.  dist is the distance table, bound is
+    diam + 1, and floors[s] is a lower bound on the span of every
+    ordering starting at s.  A greedy ordering appends the unplaced
+    vertex of least induced label, ties to the lowest index, in O(n^2)
+    per start; a start whose floor reaches the best span so far is
+    skipped.  The deadline is polled before each start and each step
+    (the README's search bullet, "Greedy orderings", has the details)."""
     n = len(dist)
     best_span, best_order = best
     for s in starts:
@@ -337,27 +328,15 @@ def find_consecutive_ordering(graph: Graph,
                               time_budget: float = DEFAULT_TIME_BUDGET
                               ) -> SearchResult:
     """Backtracking search for an ordering whose induced labeling is
-    consecutive, pruning with d(x_i, x_{i+c}) >= diam - c + 1.
-
-    At each position the surviving candidates are tried fewest-onward-
-    options first, ties broken by vertex index; the guidance matters on
-    instances like the hundred-vertex Petersen square, where plain index
-    order strands the walk in a barren subtree.  The rule is fixed, so
-    repeated runs return the identical witness.
-
-    The walk runs over bitsets held in Python ints, as in San Segundo,
-    Rodriguez-Losada and Jimenez's bit-parallel maximum-clique search
-    (Computers & Operations Research 38, 2011).  far(k, v) has bit w set
-    iff d(v, w) >= k; it is built on first use from dist[v] (see
-    graphs._at_least_mask) and kept for this call only, in a list of n
-    slots made for each k the walk reaches, since only the masks the
-    walk touches are ever needed (all n * diam of them would take
-    n^2 * diam / 8 bytes).
-    The candidates at depth d are the unused vertices in far(diam - c + 1,
-    x_{d-c}) for every c <= min(diam, d).  A candidate v's onward options
-    are far(diam, v) ANDed with the same window one position on, which is
-    built once per node, so scoring v costs one AND and one popcount
-    instead of a scan of all n vertices.
+    consecutive, pruning with d(x_i, x_{i+c}) >= diam - c + 1.  At each
+    position the candidates are tried fewest-onward-options first, ties
+    broken by vertex index, so repeated runs return the identical
+    witness.  Candidate sets are bitsets in Python ints, as in San
+    Segundo, Rodriguez-Losada and Jimenez's bit-parallel maximum-clique
+    search (Computers & Operations Research 38, 2011); the README's
+    search bullet, "Witnesses", has the details.  Memory: the distance
+    table and the distance masks the walk touches, at most n * diam of
+    n bits each.
 
     Returns witness-found, exhausted-no-witness when the whole tree was
     explored, or timeout once the budget, which starts on entry and also

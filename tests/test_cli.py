@@ -431,6 +431,18 @@ def test_bad_size_cap_is_an_error_line(capsys, monkeypatch, tmp_path):
             assert "RADIOLABEL_SIZE_CAP" in err
 
 
+def test_exponent_past_sys_maxsize_is_an_error_line(capsys, monkeypatch,
+                                                   tmp_path):
+    monkeypatch.delenv("RADIOLABEL_SIZE_CAP", raising=False)
+    p3 = write(tmp_path, "p3.txt", "3 2\n0 1\n1 2\n")
+    huge = str(10 ** 20)
+    for argv, size in ((("power", p3, "--t", huge), f"3^{huge}"),
+                       (("order-knt", "--n", huge, "--t", huge),
+                        f"{huge}^{huge}")):
+        assert run(capsys, *argv) == (
+            1, "", f"error: {size} vertices, above the cap of 1000000\n")
+
+
 def test_non_integer_json_numbers_rejected(capsys, tmp_path):
     c5 = write(tmp_path, "c5.txt", "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
     good = write(tmp_path, "good.json", '{"labels": [1, 3, 5, 2, 4]}')

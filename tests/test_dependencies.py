@@ -4,9 +4,9 @@ would hide a stray import from every other test.  Each module also uses
 every name it imports, each private module-level name is read somewhere
 in the package, each exported name is read by the package, perfbench or
 the README's library example, each CLI flag is read by the code it is
-meant to steer, only graphs knows that a distance row may be bytes, and
-no comment or string cites a wall-clock figure or a host, which no
-linter checks here."""
+meant to steer, only cli._report reads --format or writes JSON, only
+graphs knows that a distance row may be bytes, and no comment or string
+cites a wall-clock figure or a host, which no linter checks here."""
 
 import argparse
 import ast
@@ -267,22 +267,80 @@ def test_only_graphs_knows_the_row_type():
 INERT_FLAGS = {("radio-number", "symmetry_reduction")}
 
 
-def args_read(function) -> set:
-    """The attributes that ``function`` reads off its ``args``."""
-    tree = ast.parse(inspect.getsource(function))
-    return {node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+def functions(source: str) -> dict:
+    """Name -> ast node of each module-level function in ``source``."""
+    return {node.name: node for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def args_read(defs: dict, name: str, param: str = "args") -> set:
+    """The attributes that the function ``name`` of ``defs`` reads off its
+    parameter ``param``: itself, or through a function of ``defs`` that
+    it passes ``param`` to as a positional argument."""
+    read = set()
+    for node in ast.walk(defs[name]):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == param):
+            read.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in defs and node.func.id != name):
+            helper = node.func.id
+            for arg, target in zip(node.args, defs[helper].args.args):
+                if isinstance(arg, ast.Name) and arg.id == param:
+                    read |= args_read(defs, helper, target.arg)
+    return read
+
+
+def test_args_read_follows_args_into_helpers():
+    defs = functions(
+        "def _report(args, f):\n    return args.format\n"
+        "def _cmd_a(args):\n    _report(args, args.x)\n"
+        "def _cmd_b(args):\n    return args.y, _other(1, args), _report\n"
+        "def _other(n, opts):\n    return opts.z, args.w, _report(n, 2)\n"
+        "def _cmd_c(args):\n    _report(None, args)\n")
+    assert args_read(defs, "_cmd_a") == {"format", "x"}
+    assert args_read(defs, "_cmd_b") == {"y", "z"}
+    assert args_read(defs, "_cmd_c") == set()
 
 
 def test_every_cli_flag_is_read():
     parser = cli.build_parser()
     (subparsers,) = [action for action in parser._actions
                      if isinstance(action, argparse._SubParsersAction)]
-    read_by_main = args_read(cli.main)
+    defs = functions(inspect.getsource(cli))
+    read_by_main = args_read(defs, "main")
     unread = set()
     for command, sub in subparsers.choices.items():
-        read = args_read(sub.get_default("handler")) | read_by_main
+        handler = sub.get_default("handler").__name__
+        read = args_read(defs, handler) | read_by_main
         unread.update((command, action.dest) for action in sub._actions
                       if action.dest != "help" and action.dest not in read)
     assert unread == INERT_FLAGS
+
+
+def rendering_sites(source: str) -> set:
+    """Names of the module-level functions in ``source``, or "<module>"
+    for code outside them, that read ``args.format`` or name
+    ``json.dumps``."""
+    return {top.name if isinstance(top, ast.FunctionDef) else "<module>"
+            for top in ast.parse(source).body for node in ast.walk(top)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and (node.value.id, node.attr) in {("args", "format"),
+                                               ("json", "dumps")}}
+
+
+def test_rendering_sites_reads_every_form():
+    source = ("import json\n"
+              "def _report(args):\n    return args.format, json.dumps\n"
+              "def f(args):\n    def g():\n        return args.format\n"
+              "def h(x):\n    print(json.dumps(x), x.format, args.k)\n"
+              "DUMP = json.dumps\n")
+    assert rendering_sites(source) == {"_report", "f", "h", "<module>"}
+
+
+def test_only_report_renders_the_format():
+    # the report commands hand their JSON fields and table text to
+    # cli._report, which alone picks the one to build and print
+    assert rendering_sites(inspect.getsource(cli)) == {"_report"}

@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import random
+import sys
 import time
 import tracemalloc
 from collections import deque
@@ -345,6 +346,17 @@ def test_huge_power_is_refused_at_once(monkeypatch):
                              r"1000000$"):
         cartesian_power(complete(3), 10 ** 7)
     assert time.monotonic() - start < 1.0
+
+
+def test_power_past_sys_maxsize_is_refused(monkeypatch):
+    # the guard counts the exponent with range, which itertools.repeat
+    # cannot do past sys.maxsize
+    monkeypatch.delenv("RADIOLABEL_SIZE_CAP", raising=False)
+    t = 10 ** 20
+    assert t > sys.maxsize
+    with pytest.raises(SizeLimitExceededError,
+                       match=rf"^3\^{t} vertices, above the cap of 1000000$"):
+        cartesian_power(path(3), t)
 
 
 def test_power_of_one_vertex_graph_is_that_graph():
