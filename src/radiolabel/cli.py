@@ -3,8 +3,10 @@
 Exit codes: 0 on success, 1 when a validation or size guard fails, 2 on
 usage errors.  Output is deterministic for fixed inputs and flags.
 
-`main` builds only the parser of the subcommand it is given; its help
-and usage errors read byte for byte as the full parser's.
+`main` builds only the parser of the subcommand it is given, and the
+full parser only to print an error that the full parser alone prints:
+no command or an unknown one, a leftover token, or the threshold rule.
+Its help and usage errors read byte for byte as the full parser's.
 """
 
 from __future__ import annotations
@@ -270,38 +272,56 @@ COMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, or with ``command``'s alone.
+def _command_parser(name: str, parser=None) -> argparse.ArgumentParser:
+    """``name``'s arguments and handler, added to ``parser`` or to a
+    parser of its own, whose prog is the full parser's subparser's."""
+    if parser is None:
+        parser = argparse.ArgumentParser(prog=f"radiolabel {name}")
+    _, add_arguments, handler = COMMANDS[name]
+    add_arguments(parser)
+    parser.set_defaults(handler=handler)
+    return parser
 
-    With one subcommand the usage line still lists all of them.  The
-    list is not set as the metavar of the full parser, whose errors name
-    the argument ``command``."""
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="radiolabel",
         description="Radio labelings of graphs: checks, consecutive "
                     "orderings of powers of complete graphs, exhaustive "
                     "search, and impossibility thresholds.")
-    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=metavar)
-    for name in COMMANDS if command is None else (command,):
-        help_line, add_arguments, handler = COMMANDS[name]
-        p = sub.add_parser(name, help=help_line)
-        add_arguments(p)
-        p.set_defaults(handler=handler)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, _, _) in COMMANDS.items():
+        _command_parser(name, sub.add_parser(name, help=help_line))
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # one call parses one subcommand; with none named (help, an unknown
-    # command, a leading flag) the full parser reports it
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
+def _threshold_rule_holds(args) -> bool:
     # --graph alone, or both --n and --diam without it
-    if args.command == "threshold" and (
-            [args.n, args.diam].count(None) != (2 if args.graph else 0)):
+    return args.command != "threshold" or (
+        [args.n, args.diam].count(None) == (2 if args.graph else 0))
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """``argv`` parsed as the full parser parses it; on a usage error,
+    exit 2 with the full parser's message."""
+    name = argv[0] if argv else None
+    if name in COMMANDS:
+        args, extras = _command_parser(name).parse_known_args(
+            argv[1:], argparse.Namespace(command=name))
+        if not extras and _threshold_rule_holds(args):
+            return args
+    # no command, an unknown one, a leftover token or the threshold rule
+    # broken: only the full parser prints these errors
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if not _threshold_rule_holds(args):
         parser.error("give either --graph or both --n and --diam")
+    return args
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.handler(args)
     except (RadioLabelError, OSError) as exc:

@@ -320,9 +320,14 @@ def test_unknown_flag_rejected(capsys):
 
 
 # ---------------------------------------------------------------------------
-# main builds one subcommand's parser; what it prints is the full parser's
+# main builds one subcommand's parser; what it parses and prints is the full
+# parser's
 # ---------------------------------------------------------------------------
 
+# these parse, in main's parser and in the full one
+PARSED_CASES = (["verify", "g", "l", "--all"],  # an abbreviated flag
+                ["verify", "g", "--", "l"],
+                ["induce", "g", "--out=o.json"])
 USAGE_CASES = (
     [[], ["-h"]] + [[command, "-h"] for command in cli.COMMANDS]
     + [["verify"],  # a missing positional
@@ -331,38 +336,55 @@ USAGE_CASES = (
        ["verify", "g.txt", "--k", "x"],
        ["nope"], ["verif"],  # an unknown command, and a prefix of one
        ["-h", "verify"], ["--bogus", "verify"],
-       ["threshold", "--n", "3"]])  # the group error main raises
+       ["threshold", "--n", "3"],  # the group error main raises
+       ["builtin", "complete", "--n", "4", "extra"],  # a stray positional
+       ["builtin", "petersen", "--bogus", "-h"],
+       ["threshold", "--graph", "g", "--n", "2"]]
+    + list(PARSED_CASES))
 
 
-def outcome(argv) -> tuple:
-    """(exit code, stdout, stderr) of ``main(argv)``, which must exit."""
+def full_parse(argv):
+    """``argv`` parsed by the parser with every subcommand, and then
+    checked by main's threshold rule."""
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "threshold" and (
+            [args.n, args.diam].count(None) != (2 if args.graph else 0)):
+        parser.error("give either --graph or both --n and --diam")
+    return args
+
+
+def parse_outcome(parse, argv) -> tuple:
+    """("parsed", the namespace ``parse(argv)`` returns, as a dict), or,
+    if it exits, (exit code, stdout, stderr).  Floats in the dict are
+    written out, since a --budget of nan is not equal to itself."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-    return info.value.code, out.getvalue(), err.getvalue()
+        try:
+            args = parse(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    return "parsed", {key: repr(value) if isinstance(value, float) else value
+                      for key, value in vars(args).items()}
 
 
 @pytest.mark.parametrize("argv", USAGE_CASES, ids=" ".join)
 def test_usage_output_is_the_full_parsers(monkeypatch, argv):
-    # the same main, once as it runs and once with every subcommand's
-    # parser built, gives the same bytes: help, usage lines and errors
+    # help, usage lines and errors byte for byte, and the same namespace
+    # when both parse
     monkeypatch.setenv("COLUMNS", "80")
-    mine = outcome(argv)
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
-    assert mine == outcome(argv)
-    assert mine[0] == (0 if "-h" in argv else 2)
+    mine = parse_outcome(cli._parse, argv)
+    assert mine == parse_outcome(full_parse, argv)
+    assert mine[0] == ("parsed" if argv in PARSED_CASES
+                       else 0 if "-h" in argv else 2)
 
 
 def test_errors_with_no_command_name_the_command_argument():
-    # the list of commands is the usage line's metavar only when a command
-    # is named; as the full parser's metavar it would replace "command"
-    assert outcome([])[2].endswith(
+    assert parse_outcome(cli._parse, [])[2].endswith(
         "radiolabel: error: the following arguments are required: "
         "command\n")
     assert "radiolabel: error: argument command: invalid choice: 'verif'" \
-        in outcome(["verif"])[2]
+        in parse_outcome(cli._parse, ["verif"])[2]
 
 
 def subparsers(parser) -> dict:
@@ -380,28 +402,32 @@ def action_fields(parser) -> list:
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_one_command_parser_has_the_full_parsers_arguments(command):
-    (alone,) = subparsers(cli.build_parser(command)).values()
+    alone = cli._command_parser(command)
     full = subparsers(cli.build_parser())[command]
     assert alone.prog == full.prog == f"radiolabel {command}"
     assert action_fields(alone) == action_fields(full)
     assert alone._defaults == full._defaults
 
 
-def test_main_builds_one_subparser_for_a_named_command(monkeypatch, capsys):
-    # all nine cost about 1.2 ms a call, one about 0.2 ms; with no command
-    # named, help and the invalid-choice error list all nine
-    added = []
-    add_parser = argparse._SubParsersAction.add_parser
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
-                        lambda self, name, **kwargs: added.append(name)
-                        or add_parser(self, name, **kwargs))
+def test_main_builds_one_parser_for_a_named_command(monkeypatch, capsys):
+    # one command's parser costs about 0.2 ms a call, the full parser's
+    # ten about 1.2 ms; help, an unknown command and a stray token are
+    # reported by the full parser
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(
+                            kwargs["prog"]) or init(self, *args, **kwargs))
     assert main(["builtin", "petersen"]) == 0
-    assert added == ["builtin"]
-    for argv in (["-h"], ["nope"]):
-        added.clear()
+    assert built == ["radiolabel builtin"]
+    full = ["radiolabel"] + [f"radiolabel {name}" for name in cli.COMMANDS]
+    for argv, first in ((["-h"], []), (["nope"], []),
+                        (["builtin", "petersen", "extra"],
+                         ["radiolabel builtin"])):
+        built.clear()
         with pytest.raises(SystemExit):
             main(argv)
-        assert added == list(cli.COMMANDS)
+        assert built == first + full, argv
     capsys.readouterr()
 
 
@@ -717,6 +743,14 @@ def cli_calls(draw):
     if draw(st.integers(0, 15)) == 15:
         argv.append("--bogus")
     return [command] + argv, files, stdin
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(cli_calls())
+def test_main_parses_every_call_as_the_full_parser(call):
+    argv = call[0]
+    assert parse_outcome(cli._parse, argv) == parse_outcome(full_parse,
+                                                            argv), argv
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None,
