@@ -12,6 +12,7 @@ Its help and usage errors read byte for byte as the full parser's.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from typing import Callable, Optional, Sequence
@@ -51,12 +52,20 @@ def _budget_flag(parser: argparse.ArgumentParser) -> None:
                              f"{search.DEFAULT_TIME_BUDGET:g})")
 
 
-def _report(args, fields: Callable[[], dict], table: Callable[[], str]
-            ) -> None:
+def _report(args, fields: Optional[Callable[[], dict]],
+            table: Callable[[], str],
+            json_text: Optional[Callable[[], str]] = None) -> None:
     """Print a command's report in its --format: json.dumps of
-    ``fields()``, or ``table()``; only the rendering printed is built."""
-    sys.stdout.write(json.dumps(fields(), indent=2) + "\n"
-                     if args.format == JSON else table())
+    ``fields()`` with indent 2, plus a newline, or ``table()``.  A
+    command that lays out that JSON text itself passes ``json_text()``
+    in place of ``fields``.  Only the rendering printed is built."""
+    if args.format != JSON:
+        text = table()
+    elif json_text is not None:
+        text = json_text()
+    else:
+        text = json.dumps(fields(), indent=2) + "\n"
+    sys.stdout.write(text)
 
 
 def _search_table(result: search.SearchResult) -> str:
@@ -79,6 +88,23 @@ def _verify_table(k: int, violations: list, span: int,
     lines += [f"  ({w.u}, {w.v}) gap {w.actual_gap} < required "
               f"{w.required_gap}" for w in violations]
     return "\n".join(lines) + "\n"
+
+
+# one violation as json.dumps(w._asdict(), indent=2) writes it in the
+# report's list
+_VIOLATION_JSON = ('\n    {\n      "u": %d,\n      "v": %d,\n'
+                   '      "required_gap": %d,\n      "actual_gap": %d\n    }')
+
+
+def _verify_json(k: int, violations: list) -> str:
+    """verify's JSON report, as json.dumps writes {"k": k, "valid": ...,
+    "violations": [w._asdict() ...]} with indent 2, plus a newline: the
+    violations, all exact ints, in one format call."""
+    listed = ("[" + ",".join([_VIOLATION_JSON] * len(violations))
+              % tuple(itertools.chain.from_iterable(violations)) + "\n  ]"
+              if violations else "[]")
+    return ('{\n  "k": %d,\n  "valid": %s,\n  "violations": %s\n}\n'
+            % (k, "false" if violations else "true", listed))
 
 
 def _threshold_table(report: bounds.ThresholdReport) -> str:
@@ -145,10 +171,10 @@ def _cmd_verify(args) -> int:
     k = args.k if args.k is not None else max(graph.diameter(), 1)
     violations = lb.check_k_radio(graph, lab, k,
                                   fail_fast=not args.all_violations)
-    _report(args, lambda: {"k": k, "valid": not violations,
-                           "violations": [w._asdict() for w in violations]},
+    _report(args, None,
             lambda: _verify_table(k, violations, lab.span,
-                                  args.all_violations))
+                                  args.all_violations),
+            lambda: _verify_json(k, violations))
     return 1 if violations else 0
 
 

@@ -70,24 +70,13 @@ def decode_index(index: int, sizes: Sequence[int]) -> tuple:
 
 def _hamming_codes(sizes: Sequence[int]) -> tuple:
     """(codes, fill, guard, field) for counting differing coordinates in a
-    product with factor sizes ``sizes``.
-
-    codes[v] packs vertex v's coordinates into one int: coordinate k sits
-    in field k of ``field`` bits, first coordinate highest, so the codes
-    come out in flat-index order.  With w the bit length of the largest
-    coordinate, a field holds w + 1 bits or, if more, the bit length of
-    the factor count, so that a field also holds any count of differing
-    coordinates (_packed_window sums them a field apart).  A
-    field of codes[u] ^ codes[v] is non-zero exactly when the two
-    coordinates differ; adding fill, w one-bits per field, carries such a
-    field into its bit w and never further.  So
-    d(u, v) = (((codes[u] ^ codes[v]) + fill) & guard).bit_count(), guard
-    holding bit w of every field.
-
-    The codes of the first t // 2 factors and of the rest are folded
-    apart, as _forward_lists folds, and joined in one pass of an OR per
-    vertex: O(N) time and N ints for N vertices, the halves holding far
-    fewer.
+    product with factor sizes ``sizes``: codes[v] packs vertex v's
+    coordinates into one int, coordinate k in field k of ``field`` bits,
+    first coordinate highest, so the codes come out in flat-index order,
+    and d(u, v) = (((codes[u] ^ codes[v]) + fill) & guard).bit_count().
+    A field also holds any count of differing coordinates.  O(N) time
+    and N ints for N vertices; the README derives the layout and the
+    fold.
     """
     t = len(sizes)
     w = (max(sizes) - 1).bit_length()
@@ -356,20 +345,10 @@ def _packed_window(sizes: Sequence[int], order: tuple
                    ) -> Optional[Callable[[int], bytes]]:
     """window(c), the bytes d(order[i], order[i + c]) for i < len(order)
     - c, in that order, on a product of complete factors with sizes
-    ``sizes``; or None when a segment would pass 64 bits (K_2^16,
-    K_200^2).
-
-    The ordering's codes (see _hamming_codes) are packed into one int,
-    one segment of t fields per position, rounded up to whole bytes and
-    fields.  The distances at offset c then take a few big-int
-    operations: XOR with the int shifted c segments down, fill added and
-    guard masked per segment, and a multiply by one bit per field that
-    adds each segment's t flags into one byte, read out as bytes.  The
-    multiply also leaves partial counts a whole number of fields above
-    and below that byte, the highest in the next segment; where two meet
-    they count at most t flags, and t < 2^field, so nothing carries into
-    a sum.  Built on each call; the packed int takes at most 8 bytes per
-    vertex, 3 on K_6^5.
+    ``sizes``; or None when a position's segment of t fields, rounded
+    up to whole bytes and fields, would pass 64 bits (K_2^16, K_200^2).
+    Built on each call; the packed int takes at most 8 bytes per vertex,
+    3 on K_6^5.  The README derives the big-int operations.
     """
     codes, fill, guard, field = _hamming_codes(sizes)
     t = len(sizes)
@@ -381,7 +360,7 @@ def _packed_window(sizes: Sequence[int], order: tuple
     n = len(order)
     packed = array(next(code for code in "BHIQ"
                         if array(code).itemsize >= size),
-                   map(codes.__getitem__, order))
+                   _gatherer(order)(codes))
     if sys.byteorder == "big":
         packed.byteswap()
     raw = packed.tobytes()

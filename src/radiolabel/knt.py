@@ -16,7 +16,7 @@ against each other.  Valid for n >= 3 and 1 <= t <= n.
 
 from __future__ import annotations
 
-import itertools
+from array import array
 from typing import Sequence
 
 from .errors import ParameterOutOfRangeError
@@ -50,11 +50,18 @@ def knt_ordering_matrix(n: int, t: int) -> list:
     rot[e][i] of rot[e] = (e, e + 1, ..., e + n - 1) mod n.  So column j
     of the ordering is the rot[e] of column j's first-row entries e, one
     after another, and the ordering is the transpose of its t columns:
-    O(n^t t) time and memory."""
+    O(n^t t) time and memory.
+
+    Each rot[e] is a view of n typed-array items of the doubled range
+    0..n-1, 0..n-1, so a column is one bytes join, read back as an array
+    of the least item size that holds n - 1, and the rotations take O(n)
+    memory."""
     rows = first_row_matrix(n, t)  # validates n and t first
-    rot = [tuple((e + i) % n for i in range(n)) for e in range(n)]
-    return list(zip(*[itertools.chain.from_iterable(
-        map(rot.__getitem__, column)) for column in zip(*rows)]))
+    code = next(code for code in "BHIQ" if n <= 256 ** array(code).itemsize)
+    doubled = memoryview(array(code, [*range(n), *range(n)]))
+    rot = [doubled[e:e + n] for e in range(n)]
+    return list(zip(*[array(code, b"".join(map(rot.__getitem__, column)))
+                      for column in zip(*rows)]))
 
 
 def knt_ordering_recursive(n: int, t: int) -> list:

@@ -9,6 +9,7 @@ the span is at least the vertex count, and a labeling hitting exactly
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 import os
@@ -43,6 +44,15 @@ class Labeling:
         # first, so min never compares mixed types
         if not {int}.issuperset(map(type, labels)) or min(labels) < 1:
             raise IncompleteLabelingError("labels must be positive integers")
+
+    @classmethod
+    def _of_positions(cls, labels: list) -> "Labeling":
+        """The Labeling of ``labels``, a non-empty list of exact positive
+        ints, built without __post_init__'s checks; it equals and hashes
+        as Labeling(labels)."""
+        labeling = object.__new__(cls)
+        object.__setattr__(labeling, "labels", tuple(labels))
+        return labeling
 
     @property
     def span(self) -> int:
@@ -208,15 +218,16 @@ def induced_labeling(graph: Graph, order: Sequence[int]) -> Labeling:
     The span is |V| exactly when the window criterion holds (see
     check_consecutive_ordering), and then every label is its vertex's
     position.  So the criterion is tested first, offset by offset, and
-    the positions are returned when it holds; only an ordering that fails
-    it takes the per-position loop, one distance query per window pair.
+    the positions are returned when it holds, without a second check of
+    the labels they are; only an ordering that fails it takes the
+    per-position loop, one distance query per window pair.
     """
     order = validate_ordering(graph, order)
     labels = [0] * len(order)
     if graph._window_holds(order):
         for i, v in enumerate(order, 1):
             labels[v] = i
-        return Labeling(labels)
+        return Labeling._of_positions(labels)
     diam = graph.diameter()
     dist = graph._distance_function()
     bound = diam + 1
@@ -292,15 +303,18 @@ def ordering_to_json(order: Sequence, n: int, t: int) -> str:
     """The text json.dumps({"n": n, "t": t, "order": order}, indent=2)
     writes, plus a newline, written directly, as labeling_to_json is:
     with indent, json.dumps takes its pure-Python encoder.  order is a
-    non-empty list of flat indices or of non-empty coordinate tuples, all
-    exact ints, so the layout is fixed."""
+    non-empty list of flat indices or of non-empty coordinate tuples of
+    one width, all exact ints, so the layout is fixed and one format
+    call writes every entry."""
     if isinstance(order[0], int):
-        items = map(str, order)
+        item, values = "%d", order
     else:
-        items = ("[\n      " + ",\n      ".join(map(str, coords)) + "\n    ]"
-                 for coords in order)
+        item = ("[\n      " + ",\n      ".join(["%d"] * len(order[0]))
+                + "\n    ]")
+        values = itertools.chain.from_iterable(order)
     return (f'{{\n  "n": {n},\n  "t": {t},\n  "order": [\n    '
-            + ",\n    ".join(items) + "\n  ]\n}\n")
+            + ",\n    ".join([item] * len(order)) % tuple(values)
+            + "\n  ]\n}\n")
 
 
 def ordering_from_json(text: str, graph: Optional[Graph] = None) -> tuple:
@@ -342,10 +356,11 @@ def labeling_to_json(labeling: Labeling, graph_file: str = "-") -> str:
     indent=2) writes, plus a newline, written directly: with indent,
     json.dumps takes its pure-Python encoder, several times slower.  A
     Labeling holds only a non-empty tuple of exact ints, so the layout is
-    fixed."""
+    fixed, and one format call writes the labels."""
+    labels = labeling.labels
     return ('{\n  "graph": ' + json.dumps(graph_file)
             + ',\n  "labels": [\n    '
-            + ",\n    ".join(map(str, labeling.labels))
+            + ",\n    ".join(["%d"] * len(labels)) % labels
             + '\n  ],\n  "span": ' + str(labeling.span) + "\n}\n")
 
 

@@ -8,14 +8,15 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from conftest import complete_bipartite, counted_edge_list
 from radiolabel import (cycle, flat_indices, format_edge_list, knt_ordering,
                         parse_edge_list)
 from radiolabel import cli
 from radiolabel.cli import main
-from radiolabel.labeling import ordering_to_json
+from radiolabel.labeling import Violation, ordering_to_json
 
 
 def run(capsys, *argv):
@@ -158,6 +159,23 @@ def test_verify_json_lists_violations_byte_for_byte(capsys, tmp_path):
   ]
 }
 """
+
+
+# ints past 64 bits too, which json.dumps writes in full
+INTS = st.integers() | st.integers(-10**40, 10**40)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(INTS, st.lists(st.builds(Violation, INTS, INTS, INTS, INTS),
+                      max_size=40))
+@example(2, [])
+@example(3, [Violation(0, 1, 3, 1)])
+@example(10**30, [Violation(u, u + 1, 10**30, -u) for u in range(50)])
+def test_verify_json_writer_matches_json_dumps(k, violations):
+    fields = {"k": k, "valid": not violations,
+              "violations": [w._asdict() for w in violations]}
+    assert cli._verify_json(k, violations) \
+        == json.dumps(fields, indent=2) + "\n"
 
 
 def test_verify_with_k_flag(capsys, tmp_path):

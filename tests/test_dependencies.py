@@ -4,9 +4,10 @@ would hide a stray import from every other test.  Each module also uses
 every name it imports, each private module-level name is read somewhere
 in the package, each exported name is read by the package, perfbench or
 the README's library example, each CLI flag is read by the code it is
-meant to steer, only cli._report reads --format or writes JSON, only
-graphs knows that a distance row may be bytes, and no comment or string
-cites a wall-clock figure or a host, which no linter checks here."""
+meant to steer, only cli._report reads --format, names json.dumps in
+cli or dumps with an indent in the package, only graphs knows that a
+distance row may be bytes, and no comment or string cites a wall-clock
+figure or a host, which no linter checks here."""
 
 import argparse
 import ast
@@ -344,3 +345,41 @@ def test_only_report_renders_the_format():
     # the report commands hand their JSON fields and table text to
     # cli._report, which alone picks the one to build and print
     assert rendering_sites(inspect.getsource(cli)) == {"_report"}
+
+
+def indented_dumps(source: str) -> set:
+    """Names of the module-level functions in ``source``, or "<module>"
+    for code outside them, that call json.dump or json.dumps, by either
+    name, with an indent keyword or a ** mapping that may hold one."""
+    def is_dump(func):
+        name = (func.attr if isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "json"
+                else func.id if isinstance(func, ast.Name) else None)
+        return name in {"dump", "dumps"}
+
+    return {top.name if isinstance(top, ast.FunctionDef) else "<module>"
+            for top in ast.parse(source).body for node in ast.walk(top)
+            if isinstance(node, ast.Call) and is_dump(node.func)
+            and any(kw.arg in {"indent", None} for kw in node.keywords)}
+
+
+def test_indented_dumps_reads_every_form():
+    source = ("import json\nfrom json import dumps\n"
+              "def _report(x):\n    return json.dumps(x, indent=2)\n"
+              "def f(x):\n    return json.dumps(x)\n"
+              "def g(x, kw):\n    return dumps(x, **kw)\n"
+              "def h(x, out):\n    json.dump(x, out, indent=None)\n"
+              "def i(x):\n    return x.dumps(x, indent=2)\n"
+              "TEXT = json.dumps([], indent=4)\n")
+    assert indented_dumps(source) == {"_report", "g", "h", "<module>"}
+
+
+def test_only_report_dumps_with_an_indent():
+    # with an indent, json.dumps runs its pure-Python encoder; a large
+    # output is laid out by its own writer instead (labeling_to_json,
+    # ordering_to_json, cli._verify_json), so only the small reports
+    # that cli._report prints may take that encoder
+    sites = {(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
+             for name in indented_dumps(path.read_text(encoding="utf-8"))}
+    assert sites == {("cli", "_report")}

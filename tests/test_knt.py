@@ -55,8 +55,11 @@ def test_recursion_spot_values():
 
 
 def test_methods_agree_on_grid():
-    # the grid and every shape the knt-power benchmark times
-    for n, t in GRID + [(6, 4), (7, 4), (5, 5), (8, 4), (6, 5)]:
+    # the grid, every shape the knt-power benchmark times, and both sides
+    # of the item sizes the matrix construction stores entries in: one
+    # byte through n = 256, two through n = 65536, four past that
+    for n, t in GRID + [(6, 4), (7, 4), (5, 5), (8, 4), (6, 5),
+                        (255, 2), (256, 2), (257, 2), (65537, 1)]:
         assert knt_ordering_matrix(n, t) == knt_ordering_recursive(n, t), (n, t)
 
 

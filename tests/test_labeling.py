@@ -593,6 +593,11 @@ def test_complete_any_ordering_consecutive():
             assert check_consecutive_ordering(g, order)
 
 
+# (n, t) of the K_n^t orderings up to 256 vertices, t >= 2
+SMALL_POWERS = [(n, t) for n in range(3, 17) for t in range(2, n + 1)
+                if n ** t <= 256]
+
+
 def test_window_check_equals_consecutive_induced():
     # exhaustively on small graphs, sampled on larger ones
     rng = random.Random(9)
@@ -617,8 +622,7 @@ def test_window_check_equals_consecutive_induced():
     # K_n^t up to 256 vertices, where both checks take the packed window
     # kernel: the O(N^2) radio check, which does not, audits them
     windows = set()
-    for n, t in ((n, t) for n in range(3, 17) for t in range(2, n + 1)
-                 if n ** t <= 256):
+    for n, t in SMALL_POWERS:
         g = cartesian_power(complete(n), t)
         order = tuple(flat_indices(knt_ordering(n, t), n))
         for variant in [order] + one_swaps(order, t):
@@ -628,6 +632,30 @@ def test_window_check_equals_consecutive_induced():
                 (lab.span == n ** t), (n, t, variant)
             windows.add(window)
     assert windows == {True, False}
+
+
+@pytest.mark.parametrize("g, order", [
+    pytest.param(complete(1), (0,), id="K1")] + [
+    pytest.param(cartesian_power(complete(n), t),
+                 tuple(flat_indices(knt_ordering(n, t), n)), id=f"K{n}^{t}")
+    for n, t in SMALL_POWERS])
+def test_positions_labeling_is_a_checked_labeling(monkeypatch, g, order):
+    # when the window criterion holds, induced_labeling returns the
+    # positions without Labeling's checks; the result must be the
+    # checked Labeling of the same labels in every way it is read
+    checks = []
+    post_init = Labeling.__post_init__
+    monkeypatch.setattr(Labeling, "__post_init__",
+                        lambda self: checks.append(post_init(self)))
+    fast = induced_labeling(g, order)
+    assert checks == []  # the fast path ran
+    checked = Labeling(list(fast.labels))
+    assert len(checks) == 1
+    assert fast == checked and hash(fast) == hash(checked)
+    assert repr(fast) == repr(checked)
+    assert fast.span == checked.span == g.vertex_count
+    assert type(fast.labels) is tuple
+    assert set(map(type, fast.labels)) == {int}
 
 
 def test_consecutive_span_is_vertex_count():
@@ -743,6 +771,23 @@ def test_labeling_writer_matches_json_dumps(labels, graph_file):
     assert labeling_to_json(labeling, graph_file) == json.dumps(
         {"graph": graph_file, "labels": labels, "span": max(labels)},
         indent=2) + "\n"
+
+
+@st.composite
+def orderings(draw):
+    """A non-empty list of flat indices, or of tuples of one width."""
+    width = draw(st.integers(0, 4))
+    entry = (st.integers(0, 10**12) if width == 0
+             else st.tuples(*[st.integers(0, 10**12)] * width))
+    return draw(st.lists(entry, min_size=1, max_size=30))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(orderings(), st.integers(1, 10**12), st.integers(1, 10**12))
+def test_ordering_writer_matches_json_dumps(order, n, t):
+    entries = [x if isinstance(x, int) else list(x) for x in order]
+    assert ordering_to_json(order, n, t) == json.dumps(
+        {"n": n, "t": t, "order": entries}, indent=2) + "\n"
 
 
 def test_labeling_json_span_mismatch():
